@@ -2,7 +2,7 @@
 
 The package covers one workflow end to end: render a synthetic fringe
 pair from an analytic phase phantom, recover the phase difference with a
-windowed Fourier ridge demodulator plus quality-guided unwrapping, sweep
+windowed Fourier ridge demodulator plus reliability-guided unwrapping, sweep
 an FFT-accelerated Mexican hat wavelet transform over the result, and
 write everything out as portable grids, heatmaps, and contour CSVs. The
 ``fringescale`` command line drives the same stages; see the README.

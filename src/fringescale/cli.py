@@ -10,7 +10,7 @@ Subcommands map onto the pipeline stages:
 
 Exit codes: 0 success, 2 configuration error (bad keys, bad values,
 malformed overrides), 3 I/O error (missing or corrupt files), 4 numeric
-failure (degenerate inputs, empty masks, transform residues).
+failure (degenerate inputs, empty masks, non-finite unwrap quality).
 
 Configuration comes from an optional ``--config FILE`` plus repeatable
 ``--set key=value`` overrides; every run echoes the fully resolved

@@ -1,4 +1,4 @@
-"""Windowed Fourier ridge demodulation and quality-guided unwrapping.
+"""Windowed Fourier ridge demodulation and reliability-guided unwrapping.
 
 The windowed response of an image at pixel (x1, y1) and probe frequency
 (u, v) cycles/px is the inner product with a Gaussian-windowed complex
@@ -23,18 +23,23 @@ toward the smallest u, then v). Pixels closer than 3 sigma to the border
 see a clipped window and are conventionally excluded from interior
 statistics; interior_mask builds that selector.
 
-unwrap is a quality-guided flood fill: starting from the highest-quality
-valid pixel, neighbors are integrated in descending quality order, each
-receiving its neighbor's value plus the wrapped difference. The 2 pi
-multiple is tracked as an exact integer per pixel, so the output differs
-from the input by exact multiples of 2 pi (up to one rounding of 2*pi*k)
-and equals the input at the seed. Disconnected valid regions restart the
-fill at their own best pixel.
+unwrap integrates the wrapped phase along a maximum-reliability spanning
+forest (Herraez et al., Appl. Opt. 41, 7437, 2002): the 4-neighbor edges
+between valid pixels are ranked by descending q(a) + q(b), ties by edge
+index (all horizontal edges in row-major order, then all vertical ones),
+and linked in Boruvka rounds, each component taking its best-ranked edge
+to another component. Every pixel receives the value of its tree
+neighbor plus the wrapped difference. The 2 pi multiple is tracked as an
+exact integer per pixel, so the output differs from the input by exact
+multiples of 2 pi (up to one rounding of 2*pi*k) and equals the input at
+the best pixel of each connected region (highest quality, first in
+row-major order on ties). Where the wrapped differences sum to zero
+around every loop of valid pixels (no residues, and no net turn around a
+masked hole), every spanning tree gives the same result.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -43,7 +48,7 @@ from scipy import fft as sfft
 
 from .core import GridSpec, PhaseMap, ScalarField, TWO_PI, wrap_phase
 from .errors import (BadFrequencyError, BadSpecError, EmptyBandError,
-                     GridMismatchError, NoValidSeedError)
+                     GridMismatchError, NoValidSeedError, NumericError)
 
 WINDOW_TRUNCATION_SIGMAS = 4
 INTERIOR_MARGIN_SIGMAS = 3
@@ -157,9 +162,13 @@ class _SeparableScan:
         buf[:self.h] = rows
         return sfft.fft(buf, axis=0)
 
-    def response(self, col_fft: np.ndarray, v: float) -> np.ndarray:
-        gy = _kernel_fft(self.t, self.w1d, v, self.ny)
-        return sfft.ifft(col_fft * gy[:, None], axis=0)[:self.h]
+    def column_kernel(self, v: float) -> np.ndarray:
+        """FFT of the column window for probe frequency v."""
+        return _kernel_fft(self.t, self.w1d, v, self.ny)
+
+    def response(self, col_fft: np.ndarray, gy: np.ndarray) -> np.ndarray:
+        # the product is a fresh temporary, so the inverse FFT may reuse it
+        return sfft.ifft(col_fft * gy[:, None], axis=0, overwrite_x=True)[:self.h]
 
 
 def _check_probe(u: float, v: float):
@@ -175,7 +184,7 @@ def windowed_response(img: ScalarField, u: float, v: float,
     if not (sigma > 0.0 and np.isfinite(sigma)):
         raise BadSpecError(f"window sigma must be positive, got {sigma}")
     scan = _SeparableScan(img.values, sigma)
-    return scan.response(scan.rows(u), v)
+    return scan.response(scan.rows(u), scan.column_kernel(v))
 
 
 def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
@@ -192,21 +201,21 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
         if abs(f) >= 0.5:
             raise BadFrequencyError(f"band frequency {f} reaches Nyquist")
     scan = _SeparableScan(img.values, params.window_sigma)
+    col_kernels = [scan.column_kernel(v) for v in vs]
     shape = img.grid.shape
     best_mag2 = np.full(shape, -1.0)
     best_resp = np.zeros(shape, dtype=np.complex128)
-    best_u = np.zeros(shape)
-    best_v = np.zeros(shape)
-    for u in us:
+    best_idx = np.zeros(shape, dtype=np.int32)  # flat (u, v) grid index
+    for i, u in enumerate(us):
         col_fft = scan.rows(u)
-        for v in vs:
-            resp = scan.response(col_fft, v)
+        for j, gy in enumerate(col_kernels):
+            resp = scan.response(col_fft, gy)
             mag2 = resp.real * resp.real + resp.imag * resp.imag
             better = mag2 > best_mag2
-            best_mag2[better] = mag2[better]
-            best_resp[better] = resp[better]
-            best_u[better] = u
-            best_v[better] = v
+            np.copyto(best_mag2, mag2, where=better)
+            np.copyto(best_resp, resp, where=better)
+            np.copyto(best_idx, i * len(vs) + j, where=better)
+    best_u, best_v = np.divmod(best_idx, len(vs))
     valid = img.valid()
     phase_vals = np.where(valid, wrap_phase(np.angle(best_resp)), 0.0)
     meta = {
@@ -220,8 +229,8 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
     return RidgeResult(
         phase=PhaseMap(ScalarField(img.grid, phase_vals, img.mask),
                        wrapped=True, meta=meta),
-        freq_x=ScalarField(img.grid, best_u),
-        freq_y=ScalarField(img.grid, best_v),
+        freq_x=ScalarField(img.grid, us[best_u]),
+        freq_y=ScalarField(img.grid, vs[best_v]),
         ridge_amplitude=ScalarField(img.grid, np.sqrt(best_mag2)),
     )
 
@@ -249,13 +258,95 @@ def relative_phase(deformed, reference) -> PhaseMap:
     return PhaseMap(ScalarField(d.grid, diff, mask), wrapped=True, meta=meta)
 
 
-def unwrap(p: PhaseMap, quality: ScalarField | np.ndarray | None = None) -> PhaseMap:
-    """Quality-guided flood-fill unwrap of a wrapped phase map.
+_NONE = np.iinfo(np.intp).max
 
-    quality defaults to uniform (plain breadth-first order); pass the
-    ridge amplitude for noise-robust paths. Masked pixels are left
-    untouched. Single-threaded and deterministic: quality ties break on
-    (row, col).
+
+def _best_per_label(n: int, labels: np.ndarray, keys: np.ndarray,
+                    index: np.ndarray) -> np.ndarray:
+    """For each label in [0, n), the index with the largest key (the
+    smallest index on ties), or _NONE where the label does not occur."""
+    top = np.full(n, -np.inf)
+    np.maximum.at(top, labels, keys)
+    at_top = keys == top[labels]
+    best = np.full(n, _NONE)
+    np.minimum.at(best, labels[at_top], index[at_top])
+    return best
+
+
+def _forest_turns(vals: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Integer 2 pi turns per pixel along the maximum-reliability forest.
+
+    Each component has a root pixel, and each pixel its offset
+    k(pixel) - k(root). A Boruvka round hooks every component onto the
+    component across its best edge; pointer jumping then carries the
+    offsets to the new roots. Each edge's turn is taken in the direction
+    it was hooked, which agrees with the other direction unless the
+    wrapped difference lies within rounding of +-pi. Finally each
+    component is re-referenced to its best pixel, which gets k = 0.
+    """
+    h, w = vals.shape
+    n = h * w
+    ids = np.arange(n).reshape(h, w)
+    across = valid[:, :-1] & valid[:, 1:]
+    down = valid[:-1] & valid[1:]
+    a = np.concatenate((ids[:, :-1][across], ids[:-1][down]))
+    b = np.concatenate((ids[:, 1:][across], ids[1:][down]))
+    qf, vf = q.ravel(), vals.ravel()
+    rel = qf[a] + qf[b]
+    # turns across an edge as k(child) - k(parent): wrap(d) = d - 2 pi m
+    # with m = ceil((d - pi) / 2 pi), the (-pi, pi] representative
+    d = vf[b] - vf[a]
+    turn_ab = -np.ceil((d - math.pi) / TWO_PI).astype(np.int64)   # k(b) - k(a)
+    turn_ba = -np.ceil((-d - math.pi) / TWO_PI).astype(np.int64)  # k(a) - k(b)
+    root = np.arange(n)
+    off = np.zeros(n, dtype=np.int64)
+    live = np.arange(a.size)
+    while True:
+        ra, rb = root[a[live]], root[b[live]]
+        cross = ra != rb
+        live, ra, rb = live[cross], ra[cross], rb[cross]
+        if not live.size:
+            break
+        best = _best_per_label(n, np.concatenate((ra, rb)),
+                               np.tile(rel[live], 2), np.tile(live, 2))
+        comps = np.flatnonzero(best != _NONE)
+        e = best[comps]
+        from_a = root[a[e]] == comps
+        inner = np.where(from_a, a[e], b[e])
+        outer = np.where(from_a, b[e], a[e])
+        parent = np.arange(n)
+        parent[comps] = root[outer]
+        hook = np.zeros(n, dtype=np.int64)  # k(comp root) - k(parent root)
+        hook[comps] = off[outer] + np.where(from_a, turn_ba[e], turn_ab[e]) - off[inner]
+        # two components that picked the same edge: the lower label stays root
+        mutual = (parent[parent[comps]] == comps) & (comps < parent[comps])
+        parent[comps[mutual]] = comps[mutual]
+        hook[comps[mutual]] = 0
+        while True:
+            up = parent[comps]
+            up2 = parent[up]
+            if np.array_equal(up, up2):
+                break
+            hook[comps] += hook[up]
+            parent[comps] = up2
+        off += hook[root]
+        root = parent[root]
+    pix = np.flatnonzero(valid)
+    seed = _best_per_label(n, root[pix], qf[pix], pix)
+    k = np.zeros(n, dtype=np.int64)
+    k[pix] = off[pix] - off[seed[root[pix]]]
+    return k.reshape(h, w)
+
+
+def unwrap(p: PhaseMap, quality: ScalarField | np.ndarray | None = None) -> PhaseMap:
+    """Unwrap a wrapped phase map along its maximum-reliability forest.
+
+    quality defaults to uniform (edges then rank by index alone); pass
+    the ridge amplitude for noise-robust paths. Edges rank by descending
+    q(a) + q(b), ties by edge index, and each connected region keeps its
+    input value at its best pixel (first in row-major order on quality
+    ties). Masked pixels are left untouched. Deterministic. Raises
+    NumericError when quality is not finite at a valid pixel.
     """
     if not p.wrapped:
         raise ValueError("unwrap expects a wrapped phase map")
@@ -265,46 +356,14 @@ def unwrap(p: PhaseMap, quality: ScalarField | np.ndarray | None = None) -> Phas
     if quality is None:
         q = np.zeros(p.grid.shape)
     else:
-        q = quality.values if isinstance(quality, ScalarField) else np.asarray(quality)
+        q = quality.values if isinstance(quality, ScalarField) else \
+            np.asarray(quality, dtype=np.float64)
         if q.shape != p.grid.shape:
             raise GridMismatchError("quality map shape does not match the grid")
-    h, w = p.grid.shape
+        if not np.isfinite(q[valid]).all():
+            raise NumericError("unwrap quality is not finite at a valid pixel")
     vals = p.field.values
-    # plain Python lists are markedly faster inside the fill loop
-    vrow = vals.tolist()
-    qrow = q.tolist()
-    krow = [[0] * w for _ in range(h)]
-    done = (~valid).tolist()
-    seed_q = np.where(valid, q, -np.inf)
-    pi = math.pi
-    heap: list[tuple[float, int, int, int, int]] = []
-    n_left = int(valid.sum())
-    while n_left:
-        # highest-quality unvisited pixel; flat argmax gives row-major ties
-        sy, sx = divmod(int(np.argmax(seed_q)), w)
-        done[sy][sx] = True
-        seed_q[sy, sx] = -np.inf
-        n_left -= 1
-        stack = [(sy, sx)]
-        while stack or heap:
-            if stack:
-                cy, cx = stack.pop()
-            else:
-                _, cy, cx, py, px = heapq.heappop(heap)
-                if done[cy][cx]:
-                    continue
-                # integer count of 2 pi turns: wrap(d) = d - 2 pi m with
-                # m = ceil((d - pi) / 2 pi), the (-pi, pi] representative
-                d = vrow[cy][cx] - vrow[py][px]
-                krow[cy][cx] = krow[py][px] - math.ceil((d - pi) / TWO_PI)
-                done[cy][cx] = True
-                seed_q[cy, cx] = -np.inf
-                n_left -= 1
-            for ny, nx in ((cy - 1, cx), (cy + 1, cx), (cy, cx - 1), (cy, cx + 1)):
-                if 0 <= ny < h and 0 <= nx < w and not done[ny][nx]:
-                    heapq.heappush(heap, (-qrow[ny][nx], ny, nx, cy, cx))
-    out = vals + TWO_PI * np.array(krow, dtype=np.float64)
-    out = np.where(valid, out, vals)
+    out = vals + TWO_PI * _forest_turns(vals, q, valid).astype(np.float64)
     return PhaseMap(ScalarField(p.grid, out, p.field.mask), wrapped=False,
                     meta=dict(p.meta))
 

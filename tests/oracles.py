@@ -1,12 +1,18 @@
 """Independent brute-force references shared by the unit and acceptance tests.
 
 Everything here is deliberately slow and literal: direct spatial sums
-with no FFTs, so agreement with the production code is meaningful.
+with no FFTs, a pixel-by-pixel flood-fill unwrap and a cell-by-cell
+marching squares, so agreement with the production code is meaningful.
 """
+
+import heapq
+import math
+from collections import Counter, defaultdict
 
 import numpy as np
 
 from fringescale import mexican_hat
+from fringescale.core import TWO_PI
 
 
 def periodized_kernel(n_rows, n_cols, alpha, copies=None):
@@ -42,3 +48,166 @@ def brute_cwt_plane(phi, alpha):
             if kv != 0.0:
                 out += kv * np.roll(phi, shift=(-dy, -dx), axis=(0, 1))
     return out
+
+
+def flood_fill_unwrap(vals, quality, valid):
+    """Quality-guided flood-fill unwrap; returns the unwrapped values.
+
+    Starting from the highest-quality valid pixel (first in row-major
+    order on ties), the frontier pixel of highest quality is integrated
+    next, from the neighbor that pushed it, as vals + 2 pi k with the
+    integer turn count k(child) = k(parent) - ceil((d - pi) / 2 pi),
+    d = vals(child) - vals(parent). Disconnected regions restart at their
+    own best pixel. Heap ties break on (row, col) of the pixel, then of
+    its parent.
+    """
+    h, w = vals.shape
+    pi = math.pi
+    vrow = vals.tolist()
+    qrow = np.asarray(quality, dtype=np.float64).tolist()
+    krow = [[0] * w for _ in range(h)]
+    done = (~valid).tolist()
+    seed_q = np.where(valid, quality, -np.inf)
+    heap = []
+    n_left = int(valid.sum())
+    while n_left:
+        sy, sx = divmod(int(np.argmax(seed_q)), w)
+        done[sy][sx] = True
+        seed_q[sy, sx] = -np.inf
+        n_left -= 1
+        stack = [(sy, sx)]
+        while stack or heap:
+            if stack:
+                cy, cx = stack.pop()
+            else:
+                _, cy, cx, py, px = heapq.heappop(heap)
+                if done[cy][cx]:
+                    continue
+                d = vrow[cy][cx] - vrow[py][px]
+                krow[cy][cx] = krow[py][px] - math.ceil((d - pi) / TWO_PI)
+                done[cy][cx] = True
+                seed_q[cy, cx] = -np.inf
+                n_left -= 1
+            for ny, nx in ((cy - 1, cx), (cy + 1, cx), (cy, cx - 1), (cy, cx + 1)):
+                if 0 <= ny < h and 0 <= nx < w and not done[ny][nx]:
+                    heapq.heappush(heap, (-qrow[ny][nx], ny, nx, cy, cx))
+    out = vals + TWO_PI * np.array(krow, dtype=np.float64)
+    return np.where(valid, out, vals)
+
+
+def _interp(c0, c1, level):
+    return (level - c0) / (c1 - c0)
+
+
+def cell_segments(vals, level, r, c):
+    """Marching-squares segments of the one cell with top-left pixel (r, c).
+
+    A corner is inside when value >= level; the saddle codes 5 and 10 take
+    the pairing the cell-center mean picks; zero-length segments are
+    dropped.
+    """
+    a = vals[r, c]        # top-left
+    b = vals[r, c + 1]    # top-right
+    d = vals[r + 1, c + 1]  # bottom-right
+    e = vals[r + 1, c]    # bottom-left
+    code = (a >= level) | ((b >= level) << 1) | ((d >= level) << 2) | ((e >= level) << 3)
+    if code in (0, 15):
+        return []
+
+    def top():
+        return (c + _interp(a, b, level), float(r))
+
+    def bottom():
+        return (c + _interp(e, d, level), float(r + 1))
+
+    def left():
+        return (float(c), r + _interp(a, e, level))
+
+    def right():
+        return (float(c + 1), r + _interp(b, d, level))
+
+    table = {
+        1: [(top, left)],
+        2: [(top, right)],
+        3: [(left, right)],
+        4: [(right, bottom)],
+        6: [(top, bottom)],
+        7: [(left, bottom)],
+        8: [(left, bottom)],
+        9: [(top, bottom)],
+        11: [(right, bottom)],
+        12: [(left, right)],
+        13: [(top, right)],
+        14: [(top, left)],
+    }
+    if code == 5:  # top-left and bottom-right inside
+        center_inside = (a + b + d + e) / 4.0 >= level
+        pairs = [(top, right), (bottom, left)] if center_inside \
+            else [(top, left), (right, bottom)]
+    elif code == 10:  # top-right and bottom-left inside
+        center_inside = (a + b + d + e) / 4.0 >= level
+        pairs = [(top, left), (right, bottom)] if center_inside \
+            else [(top, right), (bottom, left)]
+    else:
+        pairs = table[code]
+    out = []
+    for p0f, p1f in pairs:
+        p0, p1 = p0f(), p1f()
+        if p0 != p1:
+            out.append((p0, p1))
+    return out
+
+
+def chain(segments):
+    """Join segments sharing endpoints into polylines, open chains first."""
+    adj = defaultdict(list)
+    remaining = Counter()
+    for p0, p1 in segments:
+        adj[p0].append(p1)
+        adj[p1].append(p0)
+        remaining[frozenset((p0, p1))] += 1
+
+    def walk(start):
+        line = [start]
+        cur = start
+        while True:
+            nxt = None
+            for cand in adj[cur]:
+                edge = frozenset((cur, cand))
+                if remaining[edge]:
+                    remaining[edge] -= 1
+                    nxt = cand
+                    break
+            if nxt is None:
+                return line
+            line.append(nxt)
+            cur = nxt
+
+    def has_unused(p):
+        return any(remaining[frozenset((p, n))] for n in adj[p])
+
+    polylines = []
+    for p in sorted(adj):  # open trails anchor at odd-degree points
+        if len(adj[p]) % 2 == 1:
+            while has_unused(p):
+                line = walk(p)
+                if len(line) > 1:
+                    polylines.append(line)
+    for p in sorted(adj):  # whatever is left forms closed loops
+        while has_unused(p):
+            line = walk(p)
+            if len(line) > 1:
+                polylines.append(line)
+    return polylines
+
+
+def cell_marching_squares(field, level):
+    """Marching squares one cell at a time, in row-major cell order."""
+    vals = field.values
+    valid = field.valid()
+    segments = []
+    for r in range(vals.shape[0] - 1):
+        for c in range(vals.shape[1] - 1):
+            if valid[r:r + 2, c:c + 2].all():
+                segments.extend(cell_segments(vals, level, r, c))
+    return chain(segments)

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fringescale import field_from_array
-from fringescale.contours import (
-    _cell_segments,
-    contour_levels,
-    marching_squares,
-)
+from fringescale.contours import contour_levels, marching_squares
+from oracles import cell_marching_squares, cell_segments
 
 
 def interp_field(vals, x, y):
@@ -86,28 +84,34 @@ class TestBasicShapes:
 
 
 class TestSaddles:
-    def _cell(self, a, b, d, e):
-        """2x2 cell padded into a minimal valid field for _cell_segments."""
-        vals = np.array([[a, b], [e, d]], dtype=float)
-        return vals
+    """The cell-center rule, on the one-cell oracle and through
+    marching_squares on a field whose only valid cell is that one."""
+
+    def _segments(self, a, b, d, e, level):
+        """Segments of the cell (TL, TR, BR, BL) = (a, b, d, e), both ways."""
+        cell = np.array([[a, b], [e, d]], dtype=float)
+        oracle = {frozenset(s) for s in cell_segments(cell, level, 0, 0)}
+        vals = np.zeros((8, 8))
+        vals[:2, :2] = cell
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[:2, :2] = True
+        lines = marching_squares(field_from_array(vals, mask), level)
+        assert all(len(line) == 2 for line in lines)
+        assert {frozenset(line) for line in lines} == oracle
+        return oracle
 
     def test_saddle_code5_center_decides(self):
         # corners: TL=1, BR=1 inside; TR=0, BL=0 outside; level 0.5
-        vals = self._cell(1.0, 0.0, 1.0, 0.0)
-        segs_hi = _cell_segments(vals, 0.5, 0, 0)
-        assert len(segs_hi) == 2
+        endpoints = self._segments(1.0, 0.0, 1.0, 0.0, 0.5)
         # center mean = 0.5 >= level, so the inside regions connect:
         # segments pair top-right and bottom-left
-        endpoints = {frozenset(s) for s in segs_hi}
         assert endpoints == {
             frozenset({(0.5, 0.0), (1.0, 0.5)}),
             frozenset({(0.5, 1.0), (0.0, 0.5)}),
         }
 
     def test_saddle_code5_low_center(self):
-        vals = self._cell(1.0, -1.0, 1.0, -1.0)
-        segs = _cell_segments(vals, 0.5, 0, 0)
-        endpoints = {frozenset(s) for s in segs}
+        endpoints = self._segments(1.0, -1.0, 1.0, -1.0, 0.5)
         # center mean 0 < level: inside corners stay separated
         assert endpoints == {
             frozenset({(0.25, 0.0), (0.0, 0.25)}),
@@ -115,9 +119,42 @@ class TestSaddles:
         }
 
     def test_saddle_deterministic(self):
-        vals = self._cell(1.0, 0.0, 1.0, 0.0)
-        runs = [_cell_segments(vals, 0.5, 0, 0) for _ in range(5)]
+        vals = np.array([[1.0, 0.0], [0.0, 1.0]])
+        runs = [cell_segments(vals, 0.5, 0, 0) for _ in range(5)]
         assert all(r == runs[0] for r in runs)
+        f = field_from_array(np.kron(np.ones((4, 4)), vals))
+        lines = [marching_squares(f, 0.5) for _ in range(5)]
+        assert all(r == lines[0] for r in lines)
+
+
+class TestMatchesCellOracle:
+    """marching_squares returns exactly the cell-by-cell oracle's
+    polylines, in the same order, point by point."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(8, 14), st.integers(8, 14),
+           st.sampled_from([0.5, 0.25, 0.3]), st.floats(0.0, 0.5))
+    def test_random_fields(self, seed, h, w, unit, mask_share):
+        # small integer multiples of a unit put many corners exactly on a
+        # level and make saddles common; the noise half breaks the ties
+        rng = np.random.default_rng(seed)
+        vals = rng.integers(-2, 3, size=(h, w)) * unit
+        if seed % 2:
+            vals = vals + 0.3 * rng.standard_normal((h, w))
+        mask = rng.random((h, w)) >= mask_share
+        vals[~mask] = 0.0
+        f = field_from_array(vals, mask)
+        for level in (0.0, unit, -unit, 0.3, float(vals[0, 0])):
+            assert marching_squares(f, level) == cell_marching_squares(f, level)
+
+    def test_exact_level_corners_merge(self):
+        # corners exactly at the level: zero-length segments drop, and the
+        # crossings of neighboring cells meet on the same point
+        vals = np.zeros((8, 8))
+        vals[2:6, 2:6] = 1.0
+        vals[3:5, 3:5] = 2.0
+        f = field_from_array(vals)
+        for level in (0.0, 1.0, 2.0, 0.5):
+            assert marching_squares(f, level) == cell_marching_squares(f, level)
 
 
 class TestMasking:
