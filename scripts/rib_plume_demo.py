@@ -74,8 +74,8 @@ def main() -> None:
     print(f"phase RMS error {np.sqrt(np.mean(err[core] ** 2)):.4f} rad overall, "
           f"{np.sqrt(np.mean(err[smooth] ** 2)):.4f} rad on the smooth interior")
 
-    stack = cwt_sweep(rec, CwtParams(scales=(3.0, 10.0, 50.0, 100.0)))
-    for alpha, plane in zip(stack.scales, stack.planes):
+    sweep = cwt_sweep(rec, CwtParams(scales=(3.0, 10.0, 50.0, 100.0)))
+    for alpha, plane, _ in sweep:
         stem = args.out / f"plane_alpha{alpha:g}"
         write_heatmap(stem.with_suffix(".ppm"), plane)
         write_contour_csv(stem.with_suffix(".csv"), plane, levels=8)

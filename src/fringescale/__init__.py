@@ -20,14 +20,11 @@ from .core import (
 )
 from .cwt import (
     CwtParams,
-    WaveletStack,
     cwt_plane,
     cwt_sweep,
     default_scale_grid,
     mexican_hat,
     mexican_hat_spectrum,
-    normalize_stack,
-    threshold_stack,
 )
 from .errors import (
     AliasingWarning,
@@ -91,7 +88,6 @@ __all__ = [
     "ScalarField",
     "TruncatedPayloadError",
     "UnsupportedFormatError",
-    "WaveletStack",
     "anchor_far_field",
     "apply_mask",
     "cwt_plane",
@@ -105,12 +101,10 @@ __all__ = [
     "masked_extrema",
     "mexican_hat",
     "mexican_hat_spectrum",
-    "normalize_stack",
     "read_field",
     "read_image",
     "read_pgm",
     "relative_phase",
-    "threshold_stack",
     "unwrap",
     "windowed_response",
     "wrap_phase",

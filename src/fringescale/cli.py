@@ -27,7 +27,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .core import ScalarField, field_from_array
-from .cwt import DISPLAY_SCALES, WaveletStack, cwt_sweep
+from .cwt import DISPLAY_SCALES, CwtSweep, cwt_sweep
 from .errors import (
     ConfigError,
     CorruptHeaderError,
@@ -126,29 +126,32 @@ def _plane_name(index: int, alpha: float) -> str:
     return f"plane_{index:03d}_alpha{alpha:g}.fgrid"
 
 
-def _write_stack(out: Path, stack: WaveletStack) -> list[str]:
-    names = []
-    for i, (alpha, plane) in enumerate(zip(stack.scales, stack.planes)):
+def _write_planes(out: Path, rc: cfgmod.ResolvedConfig, sweep: CwtSweep,
+                  keep: frozenset[int] = frozenset()) -> dict[int, ScalarField]:
+    """Write each plane as the sweep makes it, then the manifest; return
+    the planes whose index is in keep and drop the others."""
+    kept = {}
+    lines = [f"planes {len(sweep)}",
+             f"normalized {'true' if rc.cwt.normalize else 'false'}",
+             f"thresholded {'true' if rc.cwt.threshold_fraction > 0.0 else 'false'}"]
+    for i, (alpha, plane, divisor) in enumerate(sweep):
         name = _plane_name(i, alpha)
         write_field(out / name, plane)
-        names.append(name)
-    lines = [f"planes {len(names)}",
-             f"normalized {'true' if stack.normalized else 'false'}",
-             f"thresholded {'true' if stack.thresholded else 'false'}"]
-    lines += [f"{i} {alpha:.17g} {name}"
-              for i, (alpha, name) in enumerate(zip(stack.scales, names))]
+        lines.append(f"{i} {alpha:.17g} {name} {divisor:.17g}")
+        if i in keep:
+            kept[i] = plane
     atomic_write_text(out / "manifest.txt", "\n".join(lines) + "\n")
-    return names
+    return kept
 
 
 def cmd_cwt(args: argparse.Namespace) -> int:
     rc = _load_config(args)
     phase = read_image(args.phase)
-    stack = cwt_sweep(phase, rc.cwt, threshold_mode=rc.threshold_mode)
+    sweep = cwt_sweep(phase, rc.cwt, threshold_mode=rc.threshold_mode)
     out = _ensure_out(rc)
-    _write_stack(out, stack)
+    _write_planes(out, rc, sweep)
     _write_echo(rc, out)
-    print(f"cwt: wrote {len(stack.planes)} planes + manifest.txt to {out}")
+    print(f"cwt: wrote {len(sweep)} planes + manifest.txt to {out}")
     return EXIT_OK
 
 
@@ -163,10 +166,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _display_planes(stack: WaveletStack) -> list[tuple[int, float]]:
+def _display_planes(scales: tuple[float, ...]) -> list[tuple[int, float]]:
     """Pick one plane per display scale (nearest grid scale, deduped)."""
     picks: list[tuple[int, float]] = []
-    scales = np.asarray(stack.scales)
+    scales = np.asarray(scales)
     for want in DISPLAY_SCALES:
         i = int(np.argmin(np.abs(scales - want)))
         entry = (i, float(scales[i]))
@@ -192,21 +195,22 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     phase, _ = _demod_phase(rc, reference, deformed)
     write_field(out / "phase.fgrid", phase.field)
 
-    stack = cwt_sweep(phase, rc.cwt, threshold_mode=rc.threshold_mode)
-    names = _write_stack(out, stack)
+    shown = _display_planes(rc.cwt.scales) if rc.render_enabled else []
+    sweep = cwt_sweep(phase, rc.cwt, threshold_mode=rc.threshold_mode)
+    kept = _write_planes(out, rc, sweep, frozenset(i for i, _ in shown))
 
     if rc.render_enabled:
         heat = RenderStyle(kind="heatmap")
         cont = RenderStyle(kind="contours", levels=rc.contour_levels)
         write_render(out / "phase.ppm", phase.field, heat)
         write_render(out / "phase_contours.csv", phase.field, cont)
-        for i, alpha in _display_planes(stack):
+        for i, alpha in shown:
             stem = f"plane_{i:03d}_alpha{alpha:g}"
-            write_render(out / f"{stem}.ppm", stack.planes[i], heat)
-            write_render(out / f"{stem}_contours.csv", stack.planes[i], cont)
+            write_render(out / f"{stem}.ppm", kept[i], heat)
+            write_render(out / f"{stem}_contours.csv", kept[i], cont)
 
     _write_echo(rc, out)
-    print(f"pipeline: wrote phase.fgrid + {len(names)} planes to {out}")
+    print(f"pipeline: wrote phase.fgrid + {len(sweep)} planes to {out}")
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import CarrierSpec, GridSpec
-from .cwt import CwtParams, default_scale_grid
+from .cwt import THRESHOLD_MODES, CwtParams, default_scale_grid
 from .errors import ConfigError, FringescaleError
 from .synth import NoiseSpec, PhantomSpec, RNG_NAME
 from .wft import DemodParams
@@ -224,7 +224,7 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
             normalize=cfg["cwt.normalize"],
             pad=cfg["cwt.pad"],
         )
-        if cfg["cwt.threshold_mode"] not in ("small", "near_extrema"):
+        if cfg["cwt.threshold_mode"] not in THRESHOLD_MODES:
             raise ConfigError(
                 f"cwt.threshold_mode must be small or near_extrema, "
                 f"got {cfg['cwt.threshold_mode']!r}")

@@ -43,6 +43,12 @@ For production runs on real phase maps the input is edge-padded by
 wraparound, while oracle and covariance tests run unpadded so the
 periodic convention is exact.
 
+A sweep transforms the input once and then makes its planes one scale
+at a time: each plane is cropped, masked, optionally divided by its own
+peak (normalize_plane) and thresholded (threshold_plane) before the
+next one exists, so memory holds a few planes, never the stack.
+cwt_plane is the one-scale sweep with neither step.
+
 Scales below 1 px leave psi_hat with significant energy beyond the
 Nyquist frequency and trigger AliasingWarning; scales <= 0 are refused.
 """
@@ -60,6 +66,7 @@ from .errors import AliasingWarning, AllMaskedError, BadScaleError
 DISPLAY_SCALES = (3.0, 10.0, 50.0, 100.0)
 DEFAULT_SCALE_COUNT = 32
 DEFAULT_SCALE_RANGE = (1.0, 100.0)
+THRESHOLD_MODES = ("small", "near_extrema")
 
 # Half-width, in units of alpha, over which the hat is summed when it is
 # periodized; (2 - t^2) exp(-t^2 / 2) is below 2e-20 beyond it.
@@ -100,26 +107,16 @@ def default_scale_grid(count: int = DEFAULT_SCALE_COUNT,
     return tuple(float(a) for a in grid)
 
 
-def _check_scale(alpha: float) -> float:
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise BadScaleError(f"scale must be positive, got {alpha}")
-    if alpha < 1.0:
-        warnings.warn(
-            f"scale {alpha} is below 1 px; the sampled wavelet keeps "
-            f"significant energy beyond Nyquist and the plane may alias",
-            AliasingWarning, stacklevel=3)
-    return alpha
-
-
 @dataclass(frozen=True)
 class CwtParams:
-    """Sweep parameters: scale grid plus post-processing switches.
+    """Sweep parameters: scale grid plus the per-plane steps.
 
+    normalize divides each plane by its own peak magnitude over valid
+    pixels; the sweep reports that divisor with the plane.
     threshold_fraction zeroes values smaller than that fraction of each
-    plane's own peak magnitude (0 disables). pad turns the production
-    edge-replication padding on; equivalence tests turn it off to keep
-    the periodic convention exact.
+    plane's own peak magnitude (0 disables), after normalization. pad
+    turns the production edge-replication padding on; equivalence tests
+    turn it off to keep the periodic convention exact.
     """
 
     scales: tuple[float, ...]
@@ -155,23 +152,6 @@ class CwtParams:
         return cls(scales=scales, **kw)
 
 
-@dataclass(frozen=True)
-class WaveletStack:
-    """Per-scale response planes sharing the input grid and mask."""
-
-    scales: tuple[float, ...]
-    planes: tuple[ScalarField, ...]
-    normalized: bool = False
-    thresholded: bool = False
-
-    def __post_init__(self):
-        if len(self.scales) != len(self.planes):
-            raise ValueError("one plane per scale required")
-
-    def __len__(self) -> int:
-        return len(self.planes)
-
-
 def _as_field(phase) -> ScalarField:
     return phase.field if isinstance(phase, PhaseMap) else phase
 
@@ -200,116 +180,134 @@ def _plane_values(spectrum: np.ndarray, shape: tuple[int, int],
     return np.fft.irfft2(spectrum * mult, s=shape)
 
 
-def cwt_plane(phase, alpha: float, *, pad: bool = False) -> ScalarField:
-    """Single-scale wavelet response plane of a phase map.
+def _plane_peak(values: np.ndarray, valid: np.ndarray) -> float:
+    return float(np.abs(values[valid]).max()) if valid.any() else 0.0
 
-    pad=False (default) keeps the exact periodic convention. pad=True
-    edge-replicates by 2*alpha pixels before transforming and crops the
-    result, for production use on non-periodic data.
+
+def _check_threshold_mode(mode: str) -> None:
+    if mode not in THRESHOLD_MODES:
+        raise ValueError(f"unknown threshold mode {mode!r}")
+
+
+def normalize_plane(values: np.ndarray, valid: np.ndarray) -> float:
+    """Divide a plane in place by its peak magnitude over valid pixels.
+
+    Returns the divisor. An identically zero plane is left unchanged and
+    its divisor is 1.0, so a plane with any signal ends up with peak
+    magnitude exactly 1.
     """
-    f = _as_field(phase)
-    alpha = _check_scale(alpha)
-    arr = f.values
-    padw = int(np.ceil(2.0 * alpha)) if pad else 0
-    if padw:
-        arr = np.pad(arr, padw, mode="edge")
-    out = _plane_values(np.fft.rfft2(arr), arr.shape, alpha)
-    if padw:
-        out = out[padw:padw + f.grid.height, padw:padw + f.grid.width]
-    if f.mask is not None:
-        out = np.where(f.mask, out, 0.0)
-    return ScalarField(f.grid, out, f.mask)
+    m = _plane_peak(values, valid)
+    if m > 0.0:
+        values /= m
+        return m
+    return 1.0
 
 
-def cwt_sweep(phase, params: CwtParams, /, *,
-              threshold_mode: str = "small") -> WaveletStack:
-    """Multi-scale sweep: one plane per scale, then the enabled post steps.
-
-    The forward FFT is computed once. With padding on, a single margin of
-    2 * max(scales) pixels serves every plane so all planes crop
-    identically (a one-scale sweep therefore matches cwt_plane exactly).
-    Raises AllMaskedError when the phase has no valid pixels.
-    """
-    f = _as_field(phase)
-    if not f.valid().any():
-        raise AllMaskedError("cannot sweep a fully masked phase map")
-    for a in params.scales:
-        _check_scale(a)
-    arr = f.values
-    padw = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
-    if padw:
-        arr = np.pad(arr, padw, mode="edge")
-    spectrum = np.fft.rfft2(arr)
-    planes = []
-    for alpha in params.scales:
-        out = _plane_values(spectrum, arr.shape, alpha)
-        if padw:
-            out = out[padw:padw + f.grid.height, padw:padw + f.grid.width]
-        if f.mask is not None:
-            out = np.where(f.mask, out, 0.0)
-        planes.append(ScalarField(f.grid, out, f.mask))
-    stack = WaveletStack(params.scales, tuple(planes))
-    if params.normalize:
-        stack = normalize_stack(stack)
-    if params.threshold_fraction > 0.0:
-        stack = threshold_stack(stack, params.threshold_fraction,
-                                mode=threshold_mode)
-    return stack
-
-
-def _plane_peak(plane: ScalarField) -> float:
-    valid = plane.valid()
-    if not valid.any():
-        return 0.0
-    return float(np.abs(plane.values[valid]).max())
-
-
-def normalize_stack(stack: WaveletStack) -> WaveletStack:
-    """Divide each plane by its own peak magnitude over valid pixels.
-
-    Identically zero planes pass through unchanged, so a plane with any
-    signal ends up with peak magnitude exactly 1.
-    """
-    if stack.normalized:
-        raise ValueError("stack is already normalized")
-    planes = []
-    for plane in stack.planes:
-        m = _plane_peak(plane)
-        if m > 0.0:
-            plane = ScalarField(plane.grid, plane.values / m, plane.mask)
-        planes.append(plane)
-    return WaveletStack(stack.scales, tuple(planes), normalized=True,
-                        thresholded=stack.thresholded)
-
-
-def threshold_stack(stack: WaveletStack, fraction: float,
-                    mode: str = "small") -> WaveletStack:
-    """Zero out plane values according to each plane's own extrema.
+def threshold_plane(values: np.ndarray, valid: np.ndarray, fraction: float,
+                    mode: str = "small") -> None:
+    """Zero plane values in place according to the plane's own extrema.
 
     mode="small" (default) zeroes values with |v| strictly below
     fraction * max|v|, keeping the boundary value itself. mode="near_extrema"
     instead zeroes values within fraction * (max - min) of either extremum,
     clipping the peaks rather than the floor; it exists for comparing the
-    two readings of peak-relative clipping.
+    two readings of peak-relative clipping. fraction 0 leaves the plane
+    as it is.
     """
     if not (0.0 <= fraction < 1.0):
         raise ValueError(f"threshold fraction must lie in [0, 1), got {fraction}")
-    if mode not in ("small", "near_extrema"):
-        raise ValueError(f"unknown threshold mode {mode!r}")
-    planes = []
-    for plane in stack.planes:
-        valid = plane.valid()
-        v = plane.values
-        if fraction > 0.0 and valid.any():
-            if mode == "small":
-                m = _plane_peak(plane)
-                keep = np.abs(v) >= fraction * m
-            else:
-                lo = float(v[valid].min())
-                hi = float(v[valid].max())
-                span = hi - lo
-                keep = (v - lo > fraction * span) & (hi - v > fraction * span)
-            plane = ScalarField(plane.grid, np.where(keep, v, 0.0), plane.mask)
-        planes.append(plane)
-    return WaveletStack(stack.scales, tuple(planes),
-                        normalized=stack.normalized, thresholded=True)
+    _check_threshold_mode(mode)
+    if fraction == 0.0 or not valid.any():
+        return
+    if mode == "small":
+        keep = np.abs(values) >= fraction * _plane_peak(values, valid)
+    else:
+        v = values[valid]
+        lo, hi = float(v.min()), float(v.max())
+        span = hi - lo
+        keep = (values - lo > fraction * span) & (hi - values > fraction * span)
+    np.copyto(values, 0.0, where=~keep)
+
+
+class CwtSweep:
+    """The planes of a multi-scale sweep, made one scale at a time.
+
+    Construction checks the input (AllMaskedError, AliasingWarning, the
+    threshold mode; CwtParams has already refused bad scales) and
+    computes the forward FFT once. With padding on, a single margin of 2 * max(scales) pixels
+    serves every plane, so all planes crop identically. Each step of the
+    iteration then yields (alpha, plane, divisor) for the next scale:
+    the plane is cropped, masked, normalized and thresholded as params
+    say, and divisor is the peak it was divided by (1.0 when it was not
+    normalized). No plane is kept once it has been handed out.
+    """
+
+    def __init__(self, phase, params: CwtParams, threshold_mode: str = "small"):
+        f = _as_field(phase)
+        if not f.valid().any():
+            raise AllMaskedError("cannot sweep a fully masked phase map")
+        _check_threshold_mode(threshold_mode)
+        for a in params.scales:
+            if a < 1.0:
+                # stacklevel 3 names the caller of cwt_sweep or cwt_plane
+                warnings.warn(
+                    f"scale {a} is below 1 px; the sampled wavelet keeps "
+                    f"significant energy beyond Nyquist and the plane may alias",
+                    AliasingWarning, stacklevel=3)
+        arr = f.values
+        self._padw = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
+        if self._padw:
+            arr = np.pad(arr, self._padw, mode="edge")
+        self._shape = arr.shape
+        self._spectrum = np.fft.rfft2(arr)
+        self._field, self._valid = f, f.valid()
+        self._params, self._mode = params, threshold_mode
+        self.scales = params.scales
+        self._planes = map(self._plane, params.scales)
+
+    def __iter__(self) -> "CwtSweep":
+        return self
+
+    def __next__(self) -> tuple[float, ScalarField, float]:
+        return next(self._planes)
+
+    def __len__(self) -> int:
+        return len(self.scales)
+
+    @property
+    def planes(self) -> "CwtSweep":
+        """The sweep itself; perfbench/spans.py counts len(sweep.planes)."""
+        return self
+
+    def _plane(self, alpha: float) -> tuple[float, ScalarField, float]:
+        f, padw = self._field, self._padw
+        out = _plane_values(self._spectrum, self._shape, alpha)
+        if padw:
+            out = out[padw:padw + f.grid.height, padw:padw + f.grid.width]
+        if f.mask is not None:
+            out = np.where(f.mask, out, 0.0)
+        divisor = normalize_plane(out, self._valid) if self._params.normalize else 1.0
+        threshold_plane(out, self._valid, self._params.threshold_fraction, self._mode)
+        return alpha, ScalarField(f.grid, out, f.mask), divisor
+
+
+def cwt_sweep(phase, params: CwtParams, /, *,
+              threshold_mode: str = "small") -> CwtSweep:
+    """Multi-scale sweep: check the input now, then make the planes one
+    at a time as the returned CwtSweep is iterated.
+
+    Raises AllMaskedError when the phase has no valid pixels.
+    """
+    return CwtSweep(phase, params, threshold_mode)
+
+
+def cwt_plane(phase, alpha: float, *, pad: bool = False) -> ScalarField:
+    """Single-scale wavelet response plane of a phase map: the plane of a
+    one-scale sweep with no normalization and no threshold.
+
+    pad=False (default) keeps the exact periodic convention. pad=True
+    edge-replicates by 2*alpha pixels before transforming and crops the
+    result, for production use on non-periodic data.
+    """
+    params = CwtParams((alpha,), threshold_fraction=0.0, normalize=False, pad=pad)
+    return next(CwtSweep(phase, params))[1]

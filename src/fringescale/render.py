@@ -108,14 +108,12 @@ def write_contour_csv(path: str | Path, f: ScalarField,
         lo, hi = masked_extrema(f)
     except AllMaskedError:
         lo = hi = 0.0
-    rows = ["level,segment,x,y"]
-    seg = 0
-    for level in contour_levels(lo, hi, levels):
-        for line in marching_squares(f, level):
-            for x, y in line:
-                rows.append(f"{level:.17g},{seg},{x:.17g},{y:.17g}")
-            seg += 1
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    lines = [(level, line) for level in contour_levels(lo, hi, levels)
+             for line in marching_squares(f, level)]
+    cells = [v for seg, (level, line) in enumerate(lines)
+             for x, y in line for v in (level, seg, x, y)]
+    rows = "%.17g,%d,%.17g,%.17g\n" * (len(cells) // 4) % tuple(cells)
+    atomic_write_text(path, "level,segment,x,y\n" + rows)
 
 
 def write_render(path: str | Path, f: ScalarField, style: RenderStyle) -> None:

@@ -11,7 +11,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from fringescale import mexican_hat
+from fringescale import AllMaskedError, masked_extrema, mexican_hat
+from fringescale.contours import contour_levels, marching_squares
 from fringescale.core import TWO_PI
 
 
@@ -211,3 +212,19 @@ def cell_marching_squares(field, level):
             if valid[r:r + 2, c:c + 2].all():
                 segments.extend(cell_segments(vals, level, r, c))
     return chain(segments)
+
+
+def contour_csv_text(field, levels):
+    """Contour CSV text built one f-string row at a time."""
+    try:
+        lo, hi = masked_extrema(field)
+    except AllMaskedError:
+        lo = hi = 0.0
+    rows = ["level,segment,x,y"]
+    seg = 0
+    for level in contour_levels(lo, hi, levels):
+        for line in marching_squares(field, level):
+            for x, y in line:
+                rows.append(f"{level:.17g},{seg},{x:.17g},{y:.17g}")
+            seg += 1
+    return "\n".join(rows) + "\n"

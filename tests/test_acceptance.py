@@ -30,7 +30,6 @@ from fringescale import (
     NoiseSpec,
     PhantomSpec,
     ScalarField,
-    WaveletStack,
     anchor_far_field,
     cwt_plane,
     cwt_sweep,
@@ -41,14 +40,13 @@ from fringescale import (
     make_phase,
     mexican_hat,
     mexican_hat_spectrum,
-    normalize_stack,
     read_field,
     relative_phase,
-    threshold_stack,
     unwrap,
     write_field,
 )
 from fringescale import cli
+from fringescale.cwt import normalize_plane, threshold_plane
 from oracles import brute_cwt_plane
 
 
@@ -262,24 +260,27 @@ def test_normalization_and_threshold_contracts():
                                      threshold_fraction=0.0,
                                      normalize=False))
     zero = ScalarField(grid, np.zeros(grid.shape))
-    stack = WaveletStack(raw.scales + (20.0,), raw.planes + (zero,))
+    planes = [(p.values.copy(), p.valid()) for _, p, _ in raw]
+    planes.append((zero.values.copy(), zero.valid()))
 
-    normed = normalize_stack(stack)
+    for values, valid in planes:
+        normalize_plane(values, valid)
     peaks = []
-    for plane in normed.planes[:-1]:
-        m = float(np.abs(plane.values[plane.valid()]).max())
+    for values, valid in planes[:-1]:
+        m = float(np.abs(values[valid]).max())
         peaks.append(m)
     ok = all(abs(m - 1.0) <= 1e-12 for m in peaks)
-    ok &= not normed.planes[-1].values.any()
+    ok &= not planes[-1][0].any()
 
-    cut = threshold_stack(normed, 0.01)
+    for values, valid in planes:
+        threshold_plane(values, valid, 0.01)
     floor = 1.0
-    for plane in cut.planes[:-1]:
-        v = np.abs(plane.values[plane.valid()])
+    for values, valid in planes[:-1]:
+        v = np.abs(values[valid])
         nz = v[v > 0.0]
         floor = min(floor, float(nz.min()))
     ok &= floor >= 0.01
-    ok &= not cut.planes[-1].values.any()
+    ok &= not planes[-1][0].any()
 
     line = report(
         "normalization/threshold", ok,
@@ -365,9 +366,11 @@ def test_degenerate_inputs():
     stack = cwt_sweep(bumpy, CwtParams(scales=(2.0, 4.0),
                                        threshold_fraction=0.0,
                                        normalize=False))
-    same = threshold_stack(stack, 0.0)
-    identity = all(np.array_equal(a.values, b.values)
-                   for a, b in zip(stack.planes, same.planes))
+    identity = True
+    for _, plane, _ in stack:
+        same = plane.values.copy()
+        threshold_plane(same, plane.valid(), 0.0)
+        identity &= np.array_equal(plane.values, same)
     ok &= identity
 
     rejected = 0

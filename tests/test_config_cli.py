@@ -1,7 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fringescale import ConfigError, field_from_array, read_field, write_field
+from fringescale import (
+    ConfigError,
+    CwtParams,
+    cwt_sweep,
+    field_from_array,
+    read_field,
+    write_field,
+)
 from fringescale.cli import main
 from fringescale.config import (
     echo_text,
@@ -205,6 +214,56 @@ class TestCliDemodCwt:
                      "--phase", str(p)] + FAST)
         assert code == 4
         assert "numeric error" in capsys.readouterr().err
+        # the sweep checks its input when called, before any output exists
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_divisor_restores_raw_plane(self, tmp_path, rng):
+        mask = np.ones((48, 40), dtype=bool)
+        mask[5:15, 8:20] = False
+        f = field_from_array(np.where(mask, rng.normal(size=mask.shape), 0.0), mask)
+        write_field(tmp_path / "phase.fgrid", f)
+        out = tmp_path / "o"
+        assert main(["cwt", "--out", str(out), "--phase", str(tmp_path / "phase.fgrid"),
+                     "--set", "cwt.scales=1.5,3,7",
+                     "--set", "cwt.threshold_fraction=0.2"]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert lines[:3] == ["planes 3", "normalized true", "thresholded true"]
+        raw = cwt_sweep(f, CwtParams((1.5, 3.0, 7.0), threshold_fraction=0.0,
+                                     normalize=False))
+        for line, (alpha, raw_plane, _) in zip(lines[3:], raw):
+            _, scale, name, divisor = line.split()
+            assert float(scale) == alpha
+            divisor = float(divisor)
+            assert divisor == np.abs(raw_plane.values[mask]).max()
+            plane = read_field(out / name).values
+            kept = plane != 0.0
+            assert 0 < kept.sum() < mask.sum()
+            np.testing.assert_allclose(plane[kept] * divisor,
+                                       raw_plane.values[kept], rtol=1e-15, atol=0)
+            assert (np.abs(raw_plane.values[~kept]) < 0.2 * divisor).all()
+
+    def test_sweep_memory_is_a_few_planes(self, tmp_path, rng):
+        # 32 small scales on a 128^2 phase: the padding stays 8 px, so the
+        # traced peak is the input, its spectrum and the plane in hand.
+        # Holding the stack (three copies, as a whole-stack normalize and
+        # threshold did) peaks at over 100 planes' bytes.
+        n = 128
+        mask = np.ones((n, n), dtype=bool)
+        mask[10:30, 10:40] = False
+        f = field_from_array(np.where(mask, rng.normal(size=(n, n)), 0.0), mask)
+        write_field(tmp_path / "phase.fgrid", f)
+        args = ["cwt", "--phase", str(tmp_path / "phase.fgrid"),
+                "--set", "cwt.scale_min=1", "--set", "cwt.scale_max=4",
+                "--set", "cwt.scale_count=32"]
+        assert main(args + ["--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(args + ["--out", str(tmp_path / "o")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "o").glob("plane_*.fgrid"))) == 32
+        assert peak < 12 * n * n * 8
 
 
 class TestCliRender:

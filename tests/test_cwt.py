@@ -8,16 +8,14 @@ from fringescale import (
     AllMaskedError,
     BadScaleError,
     CwtParams,
-    WaveletStack,
     cwt_plane,
     cwt_sweep,
     default_scale_grid,
     field_from_array,
     mexican_hat,
     mexican_hat_spectrum,
-    normalize_stack,
-    threshold_stack,
 )
+from fringescale.cwt import normalize_plane, threshold_plane
 from oracles import brute_cwt_plane
 
 
@@ -208,69 +206,100 @@ class TestSweep:
         f = field_from_array(phi)
         params = CwtParams(scales=(6.0,), threshold_fraction=0.0,
                            normalize=False, pad=True)
-        sweep = cwt_sweep(f, params)
+        _, swept, _ = next(cwt_sweep(f, params))
         plane = cwt_plane(f, 6.0, pad=True)
-        np.testing.assert_array_equal(sweep.planes[0].values, plane.values)
+        np.testing.assert_array_equal(swept.values, plane.values)
 
     def test_unpadded_single_scale_matches_plane(self, rng):
         phi = rng.normal(size=(48, 48))
         f = field_from_array(phi)
         params = CwtParams(scales=(6.0,), threshold_fraction=0.0,
                            normalize=False, pad=False)
-        sweep = cwt_sweep(f, params)
-        np.testing.assert_array_equal(sweep.planes[0].values,
+        _, swept, _ = next(cwt_sweep(f, params))
+        np.testing.assert_array_equal(swept.values,
                                       cwt_plane(f, 6.0).values)
 
     def test_one_plane_per_scale(self, rng):
         f = field_from_array(rng.normal(size=(32, 32)))
         params = CwtParams(scales=(2.0, 4.0, 8.0), threshold_fraction=0.0,
                            normalize=False, pad=False)
-        stack = cwt_sweep(f, params)
+        stack = list(cwt_sweep(f, params))
         assert len(stack) == 3
-        assert stack.scales == (2.0, 4.0, 8.0)
+        assert tuple(alpha for alpha, _, _ in stack) == (2.0, 4.0, 8.0)
 
     def test_normalize_applied(self, rng):
         f = field_from_array(rng.normal(size=(32, 32)))
         params = CwtParams(scales=(2.0, 4.0), threshold_fraction=0.0,
                            normalize=True, pad=False)
-        stack = cwt_sweep(f, params)
-        assert stack.normalized
-        for plane in stack.planes:
+        raw = cwt_sweep(f, CwtParams(scales=(2.0, 4.0), threshold_fraction=0.0,
+                                     normalize=False, pad=False))
+        for (_, plane, divisor), (_, raw_plane, _) in zip(cwt_sweep(f, params), raw):
+            assert divisor == np.abs(raw_plane.values).max()
             assert np.abs(plane.values).max() == pytest.approx(1.0)
+
+    def test_unnormalized_divisor_is_one(self, rng):
+        f = field_from_array(rng.normal(size=(32, 32)))
+        params = CwtParams(scales=(2.0, 4.0), normalize=False, pad=False)
+        assert [d for _, _, d in cwt_sweep(f, params)] == [1.0, 1.0]
 
     def test_all_masked_raises(self):
         f = field_from_array(np.zeros((16, 16)), np.zeros((16, 16), dtype=bool))
         with pytest.raises(AllMaskedError):
             cwt_sweep(f, CwtParams(scales=(2.0,)))
 
+    def test_checks_run_at_the_call(self):
+        # the warning and the mode check fire before any plane is made,
+        # and the warning names this file as its source
+        f = field_from_array(np.zeros((16, 16)))
+        with pytest.warns(AliasingWarning) as caught:
+            sweep = cwt_sweep(f, CwtParams(scales=(0.5, 2.0)))
+        assert caught[0].filename == __file__
+        assert len(sweep) == 2
+        with pytest.warns(AliasingWarning) as caught:
+            cwt_plane(f, 0.5)
+        assert caught[0].filename == __file__
+        with pytest.raises(ValueError):
+            cwt_sweep(f, CwtParams(scales=(2.0,)), threshold_mode="odd")
+
+    def test_planes_are_made_one_at_a_time(self, rng):
+        f = field_from_array(rng.normal(size=(32, 32)))
+        sweep = cwt_sweep(f, CwtParams(scales=(2.0, 4.0), pad=False))
+        assert next(sweep)[0] == 2.0
+        assert next(sweep)[0] == 4.0
+        with pytest.raises(StopIteration):
+            next(sweep)
+
+
+def _normalized(vals, mask=None):
+    out = np.array(vals, dtype=np.float64)
+    valid = np.ones(out.shape, dtype=bool) if mask is None else mask
+    return out, normalize_plane(out, valid)
+
+
+def _thresholded(vals, fraction, mode="small", mask=None):
+    out = np.array(vals, dtype=np.float64)
+    valid = np.ones(out.shape, dtype=bool) if mask is None else mask
+    threshold_plane(out, valid, fraction, mode)
+    return out
+
 
 class TestNormalize:
-    def _stack(self, planes):
-        fields = tuple(field_from_array(p) for p in planes)
-        return WaveletStack(tuple(float(i + 2) for i in range(len(fields))),
-                            fields)
-
     def test_peak_becomes_one(self, rng):
-        stack = self._stack([rng.normal(size=(8, 8)) * 7,
-                             rng.normal(size=(8, 8)) * 0.01])
-        out = normalize_stack(stack)
-        for plane in out.planes:
-            assert np.abs(plane.values).max() == pytest.approx(1.0)
+        for vals in (rng.normal(size=(8, 8)) * 7, rng.normal(size=(8, 8)) * 0.01):
+            out, _ = _normalized(vals)
+            assert np.abs(out).max() == pytest.approx(1.0)
 
     def test_shape_preserved_per_plane(self, rng):
         vals = rng.normal(size=(8, 8))
-        out = normalize_stack(self._stack([vals]))
+        out, divisor = _normalized(vals)
         m = np.abs(vals).max()
-        np.testing.assert_allclose(out.planes[0].values, vals / m)
+        np.testing.assert_allclose(out, vals / m)
+        assert divisor == m
 
     def test_zero_plane_passes_through(self):
-        out = normalize_stack(self._stack([np.zeros((8, 8))]))
-        assert (out.planes[0].values == 0.0).all()
-
-    def test_renormalize_rejected(self, rng):
-        out = normalize_stack(self._stack([rng.normal(size=(8, 8))]))
-        with pytest.raises(ValueError):
-            normalize_stack(out)
+        out, divisor = _normalized(np.zeros((8, 8)))
+        assert (out == 0.0).all()
+        assert divisor == 1.0
 
     def test_masked_pixels_ignored_for_peak(self):
         vals = np.zeros((8, 8))
@@ -279,60 +308,54 @@ class TestNormalize:
         mask[0, 0] = False
         vals[0, 0] = 0.0
         vals[1, 1] = 0.5
-        stack = WaveletStack((2.0,), (field_from_array(vals, mask),))
-        out = normalize_stack(stack)
-        assert out.planes[0].values[1, 1] == pytest.approx(1.0)
+        out, _ = _normalized(vals, mask)
+        assert out[1, 1] == pytest.approx(1.0)
 
 
 class TestThreshold:
-    def _stack(self, vals, mask=None):
-        return WaveletStack((3.0,), (field_from_array(vals, mask),))
-
     def test_small_values_zeroed_boundary_kept(self):
         vals = np.zeros((8, 8))
         vals[0, 0] = 1.0
         vals[0, 1] = 0.01          # exactly fraction * max: kept
         vals[0, 2] = 0.0099999     # strictly below: zeroed
         vals[0, 3] = -0.5
-        out = threshold_stack(self._stack(vals), 0.01)
-        assert out.planes[0].values[0, 0] == 1.0
-        assert out.planes[0].values[0, 1] == 0.01
-        assert out.planes[0].values[0, 2] == 0.0
-        assert out.planes[0].values[0, 3] == -0.5
-        assert out.thresholded
+        out = _thresholded(vals, 0.01)
+        assert out[0, 0] == 1.0
+        assert out[0, 1] == 0.01
+        assert out[0, 2] == 0.0
+        assert out[0, 3] == -0.5
 
     def test_magnitude_based_sign_preserved(self):
         vals = np.zeros((8, 8))
         vals[0, 0] = -1.0
         vals[0, 1] = 0.5
-        out = threshold_stack(self._stack(vals), 0.2)
-        assert out.planes[0].values[0, 0] == -1.0
-        assert out.planes[0].values[0, 1] == 0.5
+        out = _thresholded(vals, 0.2)
+        assert out[0, 0] == -1.0
+        assert out[0, 1] == 0.5
 
     def test_fraction_zero_is_identity(self, rng):
         vals = rng.normal(size=(8, 8))
-        out = threshold_stack(self._stack(vals), 0.0)
-        np.testing.assert_array_equal(out.planes[0].values, vals)
+        out = _thresholded(vals, 0.0)
+        np.testing.assert_array_equal(out, vals)
 
     def test_near_extrema_mode_clips_peaks(self):
         vals = np.zeros((8, 8))
         vals[0, 0] = 1.0
         vals[0, 1] = -1.0
         vals[0, 2] = 0.5
-        out = threshold_stack(self._stack(vals), 0.1, mode="near_extrema")
-        v = out.planes[0].values
+        v = _thresholded(vals, 0.1, mode="near_extrema")
         assert v[0, 0] == 0.0      # within 10% of the max
         assert v[0, 1] == 0.0      # within 10% of the min
         assert v[0, 2] == 0.5      # middle survives
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            threshold_stack(self._stack(np.zeros((8, 8))), 0.1, mode="odd")
+            _thresholded(np.zeros((8, 8)), 0.1, mode="odd")
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
-            threshold_stack(self._stack(np.zeros((8, 8))), 1.5)
+            _thresholded(np.zeros((8, 8)), 1.5)
 
     def test_zero_plane_unchanged(self):
-        out = threshold_stack(self._stack(np.zeros((8, 8))), 0.5)
-        assert (out.planes[0].values == 0.0).all()
+        out = _thresholded(np.zeros((8, 8)), 0.5)
+        assert (out == 0.0).all()

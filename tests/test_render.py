@@ -12,6 +12,7 @@ from fringescale.render import (
     write_heatmap,
     write_render,
 )
+from oracles import contour_csv_text
 
 
 class TestColormap:
@@ -126,6 +127,22 @@ class TestContourCsv:
             x = float(xs)
             # reparse equals the exact interpolated coordinate: x * pi == level
             assert x * np.pi == pytest.approx(float(lv), rel=1e-15)
+
+    def test_matches_row_by_row_text(self, tmp_path, rng):
+        # bumps of both signs, noise and a masked hole give many open and
+        # closed polylines per level, at negative and positive levels with
+        # no short decimal form
+        y, x = np.mgrid[0:40, 0:48].astype(float)
+        vals = (np.sin(x / 3.1) * np.cos(y / 4.7) * np.pi
+                + 0.05 * rng.normal(size=x.shape))
+        mask = np.ones(vals.shape, dtype=bool)
+        mask[12:20, 30:41] = False
+        f = field_from_array(np.where(mask, vals, 0.0), mask)
+        p = tmp_path / "c.csv"
+        write_contour_csv(p, f, levels=7)
+        text = p.read_text()
+        assert len({ln.split(",")[1] for ln in text.splitlines()[1:]}) > 20
+        assert text == contour_csv_text(f, 7)
 
 
 class TestWriteRender:
