@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .core import ScalarField, field_from_array
+from .core import ScalarField
 from .cwt import DISPLAY_SCALES, CwtSweep, cwt_sweep
 from .errors import (
     ConfigError,
@@ -35,10 +35,10 @@ from .errors import (
     TruncatedPayloadError,
     UnsupportedFormatError,
 )
-from .fieldio import atomic_write_text, read_field, read_image, write_field
+from .fieldio import atomic_write_text, read_image, write_field
 from .render import RenderStyle, write_render
 from .synth import make_fringes, make_phase
-from .wft import RidgeResult, anchor_far_field, demodulate, relative_phase, unwrap
+from .wft import anchor_far_field, demodulate, relative_phase, unwrap
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,21 +72,23 @@ def _write_echo(rc: cfgmod.ResolvedConfig, out: Path) -> None:
     atomic_write_text(out / "config_echo.txt", cfgmod.echo_text(rc))
 
 
-def _synth_fields(rc: cfgmod.ResolvedConfig):
+def _write_synth(rc: cfgmod.ResolvedConfig):
+    """Make the phantom's fringe pair, then write it and the true phase."""
     if rc.phantom is None:
         raise ConfigError("synth needs a phantom; input.* files were given")
     truth = make_phase(rc.grid, rc.phantom)
     pair = make_fringes(truth, rc.carrier, rc.noise)
-    return truth, pair
-
-
-def cmd_synth(args: argparse.Namespace) -> int:
-    rc = _load_config(args)
-    truth, pair = _synth_fields(rc)
     out = _ensure_out(rc)
     write_field(out / "reference.fgrid", pair.reference)
     write_field(out / "deformed.fgrid", pair.deformed)
     write_field(out / "phase_true.fgrid", truth.field)
+    return pair
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    rc = _load_config(args)
+    _write_synth(rc)
+    out = rc.out_dir
     _write_echo(rc, out)
     print(f"synth: wrote reference/deformed/phase_true to {out}")
     return EXIT_OK
@@ -94,13 +96,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _demod_phase(rc: cfgmod.ResolvedConfig, reference: ScalarField,
                  deformed: ScalarField):
+    """The phase-recovery chain: ridge demod of both images, the wrapped
+    relative phase, its quality-guided unwrap and the optional anchor."""
     ref_ridge = demodulate(reference, rc.demod)
     dfm_ridge = demodulate(deformed, rc.demod)
-    wrapped = relative_phase(dfm_ridge, ref_ridge)
-    phase = unwrap(wrapped, quality=dfm_ridge.ridge_amplitude)
+    phase = unwrap(relative_phase(dfm_ridge, ref_ridge),
+                   quality=dfm_ridge.ridge_amplitude)
     if rc.anchor is not None:
         phase = anchor_far_field(phase, rc.anchor)
-    return phase, wrapped
+    return phase
 
 
 def _read_pair(rc: cfgmod.ResolvedConfig, args: argparse.Namespace):
@@ -114,7 +118,7 @@ def _read_pair(rc: cfgmod.ResolvedConfig, args: argparse.Namespace):
 def cmd_demod(args: argparse.Namespace) -> int:
     rc = _load_config(args)
     reference, deformed = _read_pair(rc, args)
-    phase, _ = _demod_phase(rc, reference, deformed)
+    phase = _demod_phase(rc, reference, deformed)
     out = _ensure_out(rc)
     write_field(out / "phase.fgrid", phase.field)
     _write_echo(rc, out)
@@ -147,7 +151,7 @@ def _write_planes(out: Path, rc: cfgmod.ResolvedConfig, sweep: CwtSweep,
 def cmd_cwt(args: argparse.Namespace) -> int:
     rc = _load_config(args)
     phase = read_image(args.phase)
-    sweep = cwt_sweep(phase, rc.cwt, threshold_mode=rc.threshold_mode)
+    sweep = cwt_sweep(phase, rc.cwt)
     out = _ensure_out(rc)
     _write_planes(out, rc, sweep)
     _write_echo(rc, out)
@@ -183,20 +187,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out = _ensure_out(rc)
 
     if rc.phantom is not None:
-        truth, pair = _synth_fields(rc)
-        write_field(out / "reference.fgrid", pair.reference)
-        write_field(out / "deformed.fgrid", pair.deformed)
-        write_field(out / "phase_true.fgrid", truth.field)
+        pair = _write_synth(rc)
         reference, deformed = pair.reference, pair.deformed
     else:
         reference = read_image(rc.input_reference)
         deformed = read_image(rc.input_deformed)
 
-    phase, _ = _demod_phase(rc, reference, deformed)
+    phase = _demod_phase(rc, reference, deformed)
     write_field(out / "phase.fgrid", phase.field)
 
     shown = _display_planes(rc.cwt.scales) if rc.render_enabled else []
-    sweep = cwt_sweep(phase, rc.cwt, threshold_mode=rc.threshold_mode)
+    sweep = cwt_sweep(phase, rc.cwt)
     kept = _write_planes(out, rc, sweep, frozenset(i for i, _ in shown))
 
     if rc.render_enabled:

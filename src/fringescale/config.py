@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import CarrierSpec, GridSpec
-from .cwt import THRESHOLD_MODES, CwtParams, default_scale_grid
+from .cwt import CwtParams, default_scale_grid
 from .errors import ConfigError, FringescaleError
 from .synth import NoiseSpec, PhantomSpec, RNG_NAME
 from .wft import DemodParams
@@ -83,11 +83,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "demod.anchor_w": ("int", 0),
     "demod.anchor_h": ("int", 0),
     "cwt.scales": ("floats", ()),
-    "cwt.scale_min": ("float", 1.0),
-    "cwt.scale_max": ("float", 100.0),
-    "cwt.scale_count": ("int", 0),
     "cwt.threshold_fraction": ("float", 0.01),
-    "cwt.threshold_mode": ("str", "small"),
     "cwt.normalize": ("bool", True),
     "cwt.pad": ("bool", True),
     "render.enabled": ("bool", True),
@@ -150,7 +146,6 @@ class ResolvedConfig:
     demod: DemodParams
     anchor: tuple[int, int, int, int] | None
     cwt: CwtParams
-    threshold_mode: str
     render_enabled: bool
     contour_levels: int
     raw: dict[str, object]
@@ -194,29 +189,35 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
                 file_path=cfg["phantom.file"] or None,
             )
 
-        if cfg["demod.band_x_lo"] is None:
-            cfg["demod.band_x_lo"] = carrier.fx - 0.1
-        if cfg["demod.band_x_hi"] is None:
-            cfg["demod.band_x_hi"] = carrier.fx + 0.1
+        if None in (cfg["demod.band_x_lo"], cfg["demod.band_x_hi"]):
+            lo, hi = DemodParams.for_carrier(carrier.fx).band_x
+            if cfg["demod.band_x_lo"] is None:
+                cfg["demod.band_x_lo"] = lo
+            if cfg["demod.band_x_hi"] is None:
+                cfg["demod.band_x_hi"] = hi
         demod = DemodParams(
             band_x=(cfg["demod.band_x_lo"], cfg["demod.band_x_hi"]),
             band_y=(cfg["demod.band_y_lo"], cfg["demod.band_y_hi"]),
             step=cfg["demod.step"],
             window_sigma=cfg["demod.window_sigma"],
         )
-        anchor = None
-        if cfg["demod.anchor_x0"] >= 0 and cfg["demod.anchor_y0"] >= 0:
-            anchor = (cfg["demod.anchor_x0"], cfg["demod.anchor_y0"],
-                      cfg["demod.anchor_w"], cfg["demod.anchor_h"])
+        anchor = (cfg["demod.anchor_x0"], cfg["demod.anchor_y0"],
+                  cfg["demod.anchor_w"], cfg["demod.anchor_h"])
+        x0, y0, w, h = anchor
+        if (x0 >= 0) != (y0 >= 0):
+            raise ConfigError(
+                "demod.anchor_x0 and demod.anchor_y0 must be given together")
+        if x0 < 0:
+            anchor = None
+        elif w < 1 or h < 1:
+            raise ConfigError(
+                f"demod.anchor_w and demod.anchor_h must be >= 1, got {w}x{h}")
+        elif phantom is not None and (x0 + w > grid.width or y0 + h > grid.height):
+            # measured inputs are checked by anchor_far_field once read
+            raise ConfigError(f"anchor rectangle {anchor} does not fit grid "
+                              f"{grid.width}x{grid.height}")
 
-        if cfg["cwt.scales"]:
-            scales = tuple(cfg["cwt.scales"])
-        elif cfg["cwt.scale_count"] > 0:
-            import numpy as np
-            scales = tuple(float(a) for a in np.geomspace(
-                cfg["cwt.scale_min"], cfg["cwt.scale_max"], cfg["cwt.scale_count"]))
-        else:
-            scales = default_scale_grid()
+        scales = tuple(cfg["cwt.scales"]) or default_scale_grid()
         cfg["cwt.scales"] = scales
         cwt = CwtParams(
             scales=scales,
@@ -224,10 +225,6 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
             normalize=cfg["cwt.normalize"],
             pad=cfg["cwt.pad"],
         )
-        if cfg["cwt.threshold_mode"] not in THRESHOLD_MODES:
-            raise ConfigError(
-                f"cwt.threshold_mode must be small or near_extrema, "
-                f"got {cfg['cwt.threshold_mode']!r}")
         if cfg["render.contour_levels"] < 1:
             raise ConfigError("render.contour_levels must be >= 1")
     except ConfigError:
@@ -247,7 +244,6 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
         demod=demod,
         anchor=anchor,
         cwt=cwt,
-        threshold_mode=cfg["cwt.threshold_mode"],
         render_enabled=cfg["render.enabled"],
         contour_levels=cfg["render.contour_levels"],
         raw=cfg,

@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -181,10 +180,3 @@ def apply_mask(f: ScalarField, mask: np.ndarray) -> ScalarField:
     joint = mask & f.valid()
     values = np.where(joint, f.values, 0.0)
     return ScalarField(f.grid, values, joint)
-
-
-def iter_pixels(grid: GridSpec) -> Iterator[tuple[int, int]]:
-    """Row-major (y, x) pixel iterator, handy for brute-force checks."""
-    for y in range(grid.height):
-        for x in range(grid.width):
-            yield y, x

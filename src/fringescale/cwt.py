@@ -66,7 +66,6 @@ from .errors import AliasingWarning, AllMaskedError, BadScaleError
 DISPLAY_SCALES = (3.0, 10.0, 50.0, 100.0)
 DEFAULT_SCALE_COUNT = 32
 DEFAULT_SCALE_RANGE = (1.0, 100.0)
-THRESHOLD_MODES = ("small", "near_extrema")
 
 # Half-width, in units of alpha, over which the hat is summed when it is
 # periodized; (2 - t^2) exp(-t^2 / 2) is below 2e-20 beyond it.
@@ -89,21 +88,17 @@ def mexican_hat_spectrum(wx, wy):
     return 2.0 * np.pi * w2 * np.exp(-0.5 * w2)
 
 
-def default_scale_grid(count: int = DEFAULT_SCALE_COUNT,
-                       lo: float = DEFAULT_SCALE_RANGE[0],
-                       hi: float = DEFAULT_SCALE_RANGE[1],
-                       include: tuple[float, ...] = DISPLAY_SCALES) -> tuple[float, ...]:
-    """Log-spaced scale grid with the display scales snapped onto it.
+def default_scale_grid() -> tuple[float, ...]:
+    """DEFAULT_SCALE_COUNT log-spaced scales on DEFAULT_SCALE_RANGE with
+    the display scales snapped onto it.
 
-    Each scale in ``include`` replaces its nearest log-grid neighbor, so
-    the total count stays fixed and the display scales are always
-    present exactly.
+    Each display scale replaces its nearest log-grid neighbor, so the
+    total count stays fixed and the display scales are always present
+    exactly.
     """
-    grid = np.geomspace(lo, hi, count)
-    for d in include:
-        if lo <= d <= hi:
-            grid[np.argmin(np.abs(grid - d))] = d
-    grid = np.unique(grid)
+    grid = np.geomspace(*DEFAULT_SCALE_RANGE, DEFAULT_SCALE_COUNT)
+    for d in DISPLAY_SCALES:
+        grid[np.argmin(np.abs(grid - d))] = d
     return tuple(float(a) for a in grid)
 
 
@@ -138,19 +133,6 @@ class CwtParams:
                 f"threshold_fraction must lie in [0, 1), got {self.threshold_fraction}")
         object.__setattr__(self, "scales", scales)
 
-    @classmethod
-    def default(cls, **kw) -> "CwtParams":
-        return cls(scales=default_scale_grid(), **kw)
-
-    @classmethod
-    def log_spaced(cls, lo: float, hi: float, count: int, **kw) -> "CwtParams":
-        if count < 1 or not (0 < lo < hi):
-            raise BadScaleError(
-                f"log-spaced grid needs 0 < lo < hi and count >= 1, "
-                f"got lo={lo} hi={hi} count={count}")
-        scales = tuple(float(a) for a in np.geomspace(lo, hi, count))
-        return cls(scales=scales, **kw)
-
 
 def _as_field(phase) -> ScalarField:
     return phase.field if isinstance(phase, PhaseMap) else phase
@@ -184,11 +166,6 @@ def _plane_peak(values: np.ndarray, valid: np.ndarray) -> float:
     return float(np.abs(values[valid]).max()) if valid.any() else 0.0
 
 
-def _check_threshold_mode(mode: str) -> None:
-    if mode not in THRESHOLD_MODES:
-        raise ValueError(f"unknown threshold mode {mode!r}")
-
-
 def normalize_plane(values: np.ndarray, valid: np.ndarray) -> float:
     """Divide a plane in place by its peak magnitude over valid pixels.
 
@@ -203,38 +180,25 @@ def normalize_plane(values: np.ndarray, valid: np.ndarray) -> float:
     return 1.0
 
 
-def threshold_plane(values: np.ndarray, valid: np.ndarray, fraction: float,
-                    mode: str = "small") -> None:
-    """Zero plane values in place according to the plane's own extrema.
-
-    mode="small" (default) zeroes values with |v| strictly below
-    fraction * max|v|, keeping the boundary value itself. mode="near_extrema"
-    instead zeroes values within fraction * (max - min) of either extremum,
-    clipping the peaks rather than the floor; it exists for comparing the
-    two readings of peak-relative clipping. fraction 0 leaves the plane
-    as it is.
+def threshold_plane(values: np.ndarray, valid: np.ndarray, fraction: float) -> None:
+    """Zero plane values in place whose magnitude is strictly below
+    fraction * max|v| over valid pixels, keeping the boundary value
+    itself. fraction 0 leaves the plane as it is.
     """
     if not (0.0 <= fraction < 1.0):
         raise ValueError(f"threshold fraction must lie in [0, 1), got {fraction}")
-    _check_threshold_mode(mode)
     if fraction == 0.0 or not valid.any():
         return
-    if mode == "small":
-        keep = np.abs(values) >= fraction * _plane_peak(values, valid)
-    else:
-        v = values[valid]
-        lo, hi = float(v.min()), float(v.max())
-        span = hi - lo
-        keep = (values - lo > fraction * span) & (hi - values > fraction * span)
+    keep = np.abs(values) >= fraction * _plane_peak(values, valid)
     np.copyto(values, 0.0, where=~keep)
 
 
 class CwtSweep:
     """The planes of a multi-scale sweep, made one scale at a time.
 
-    Construction checks the input (AllMaskedError, AliasingWarning, the
-    threshold mode; CwtParams has already refused bad scales) and
-    computes the forward FFT once. With padding on, a single margin of 2 * max(scales) pixels
+    Construction checks the input (AllMaskedError, AliasingWarning;
+    CwtParams has already refused bad scales) and computes the forward
+    FFT once. With padding on, a single margin of 2 * max(scales) pixels
     serves every plane, so all planes crop identically. Each step of the
     iteration then yields (alpha, plane, divisor) for the next scale:
     the plane is cropped, masked, normalized and thresholded as params
@@ -242,11 +206,10 @@ class CwtSweep:
     normalized). No plane is kept once it has been handed out.
     """
 
-    def __init__(self, phase, params: CwtParams, threshold_mode: str = "small"):
+    def __init__(self, phase, params: CwtParams):
         f = _as_field(phase)
         if not f.valid().any():
             raise AllMaskedError("cannot sweep a fully masked phase map")
-        _check_threshold_mode(threshold_mode)
         for a in params.scales:
             if a < 1.0:
                 # stacklevel 3 names the caller of cwt_sweep or cwt_plane
@@ -261,7 +224,7 @@ class CwtSweep:
         self._shape = arr.shape
         self._spectrum = np.fft.rfft2(arr)
         self._field, self._valid = f, f.valid()
-        self._params, self._mode = params, threshold_mode
+        self._params = params
         self.scales = params.scales
         self._planes = map(self._plane, params.scales)
 
@@ -287,18 +250,17 @@ class CwtSweep:
         if f.mask is not None:
             out = np.where(f.mask, out, 0.0)
         divisor = normalize_plane(out, self._valid) if self._params.normalize else 1.0
-        threshold_plane(out, self._valid, self._params.threshold_fraction, self._mode)
+        threshold_plane(out, self._valid, self._params.threshold_fraction)
         return alpha, ScalarField(f.grid, out, f.mask), divisor
 
 
-def cwt_sweep(phase, params: CwtParams, /, *,
-              threshold_mode: str = "small") -> CwtSweep:
+def cwt_sweep(phase, params: CwtParams, /) -> CwtSweep:
     """Multi-scale sweep: check the input now, then make the planes one
     at a time as the returned CwtSweep is iterated.
 
     Raises AllMaskedError when the phase has no valid pixels.
     """
-    return CwtSweep(phase, params, threshold_mode)
+    return CwtSweep(phase, params)
 
 
 def cwt_plane(phase, alpha: float, *, pad: bool = False) -> ScalarField:

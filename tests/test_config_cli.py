@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fringescale import (
 )
 from fringescale.cli import main
 from fringescale.config import (
+    SCHEMA,
     echo_text,
     parse_config_text,
     parse_override,
@@ -84,14 +87,36 @@ class TestResolve:
                       "demod.anchor_w": 32, "demod.anchor_h": 32})
         assert rc.anchor == (0, 0, 32, 32)
 
-    def test_scale_count_geomspace(self):
-        rc = resolve({"cwt.scale_min": 2.0, "cwt.scale_max": 8.0,
-                      "cwt.scale_count": 3})
-        assert rc.cwt.scales == pytest.approx((2.0, 4.0, 8.0))
+    @pytest.mark.parametrize("values, match", [
+        ({"demod.anchor_x0": 0}, "together"),
+        ({"demod.anchor_y0": 5, "demod.anchor_w": 8, "demod.anchor_h": 8},
+         "together"),
+        ({"demod.anchor_x0": 0, "demod.anchor_y0": 0}, ">= 1"),
+        ({"demod.anchor_x0": 0, "demod.anchor_y0": 0,
+          "demod.anchor_w": 8, "demod.anchor_h": 0}, ">= 1"),
+        ({"grid.width": 64, "grid.height": 64, "demod.anchor_x0": 60,
+          "demod.anchor_y0": 0, "demod.anchor_w": 10, "demod.anchor_h": 8},
+         "does not fit"),
+        ({"grid.width": 64, "grid.height": 64, "demod.anchor_x0": 0,
+          "demod.anchor_y0": 57, "demod.anchor_w": 8, "demod.anchor_h": 8},
+         "does not fit"),
+    ])
+    def test_bad_anchor_rejected(self, values, match):
+        with pytest.raises(ConfigError, match=match):
+            resolve(values)
 
-    def test_explicit_scales_win(self):
-        rc = resolve({"cwt.scales": (2.0, 3.0), "cwt.scale_count": 7})
-        assert rc.cwt.scales == (2.0, 3.0)
+    @pytest.mark.parametrize("values, anchor", [
+        # flush with the grid's far corner
+        ({"grid.width": 64, "grid.height": 64, "demod.anchor_x0": 56,
+          "demod.anchor_y0": 56, "demod.anchor_w": 8, "demod.anchor_h": 8},
+         (56, 56, 8, 8)),
+        # the grid of measured images is known only once they are read
+        ({"input.reference": "a.fgrid", "input.deformed": "b.fgrid",
+          "demod.anchor_x0": 600, "demod.anchor_y0": 0,
+          "demod.anchor_w": 8, "demod.anchor_h": 8}, (600, 0, 8, 8)),
+    ])
+    def test_anchor_kept_when_it_may_fit(self, values, anchor):
+        assert resolve(values).anchor == anchor
 
     def test_rng_pinned(self):
         with pytest.raises(ConfigError, match="philox4x64"):
@@ -106,8 +131,6 @@ class TestResolve:
             resolve({"carrier.fx": 0.7})
         with pytest.raises(ConfigError):
             resolve({"grid.width": 4})
-        with pytest.raises(ConfigError):
-            resolve({"cwt.threshold_mode": "odd"})
         with pytest.raises(ConfigError):
             resolve({"render.contour_levels": 0})
 
@@ -124,6 +147,32 @@ class TestResolve:
         # the derived low edge echoes the exact float used
         echoed = parse_config_text(text)
         assert echoed["demod.band_x_lo"] == 0.125 - 0.1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_keys() -> list[str]:
+    """Keys named in the README's configuration table, with the shorthand
+    ``a.b_x0/y0/w/h`` expanded: each token after a ``/`` replaces the
+    first key's last ``_`` segment."""
+    section = README.read_text().split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    keys = []
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            continue
+        for tok in re.findall(r"`([a-z]+\.[a-z0-9_]+(?:/[a-z0-9]+)*)`", line):
+            first, *rest = tok.split("/")
+            stem = first.rsplit("_", 1)[0]
+            keys += [first] + [f"{stem}_{t}" for t in rest]
+    return keys
+
+
+def test_readme_config_table_names_exactly_the_schema_keys():
+    keys = readme_config_keys()
+    assert len(keys) == len(set(keys)), "a key is listed twice"
+    assert set(keys) == set(SCHEMA)
 
 
 FAST = [
@@ -160,6 +209,14 @@ class TestCliSynth:
         code = main(["synth", "--out", str(tmp_path), "--set", "nope=1"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item", ["cwt.scale_count=32",
+                                      "cwt.threshold_mode=small"])
+    def test_removed_keys_exit_2(self, tmp_path, capsys, item):
+        out = tmp_path / "o"
+        assert main(["synth", "--out", str(out), "--set", item]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_file_exits_2(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.cfg"),
@@ -252,9 +309,9 @@ class TestCliDemodCwt:
         mask[10:30, 10:40] = False
         f = field_from_array(np.where(mask, rng.normal(size=(n, n)), 0.0), mask)
         write_field(tmp_path / "phase.fgrid", f)
+        scales = ",".join(repr(float(a)) for a in np.geomspace(1, 4, 32))
         args = ["cwt", "--phase", str(tmp_path / "phase.fgrid"),
-                "--set", "cwt.scale_min=1", "--set", "cwt.scale_max=4",
-                "--set", "cwt.scale_count=32"]
+                "--set", f"cwt.scales={scales}"]
         assert main(args + ["--out", str(tmp_path / "warm")]) == 0
         tracemalloc.start()
         try:
@@ -323,6 +380,19 @@ class TestCliPipeline:
         for name in ("reference.fgrid", "deformed.fgrid", "phase.fgrid",
                      "plane_000_alpha2.fgrid"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("anchor", [
+        ["--set", "demod.anchor_x0=0", "--set", "demod.anchor_y0=0"],
+        ["--set", "demod.anchor_x0=60", "--set", "demod.anchor_y0=0",
+         "--set", "demod.anchor_w=10", "--set", "demod.anchor_h=10"],
+        ["--set", "demod.anchor_x0=0", "--set", "demod.anchor_w=8",
+         "--set", "demod.anchor_h=8"],
+    ])
+    def test_bad_anchor_exits_2_before_any_output(self, tmp_path, capsys, anchor):
+        out = tmp_path / "p"
+        assert main(["pipeline", "--out", str(out)] + FAST + anchor) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_input_files_instead_of_phantom(self, tmp_path):
         synth_out = tmp_path / "s"

@@ -174,14 +174,10 @@ class TestScaleGrid:
 
 class TestCwtParams:
     def test_default(self):
-        p = CwtParams.default()
+        p = CwtParams(scales=default_scale_grid())
         assert p.scales == default_scale_grid()
         assert p.threshold_fraction == 0.01
         assert p.normalize and p.pad
-
-    def test_log_spaced(self):
-        p = CwtParams.log_spaced(2.0, 8.0, 3)
-        assert p.scales == pytest.approx((2.0, 4.0, 8.0))
 
     def test_empty_scales(self):
         with pytest.raises(BadScaleError):
@@ -248,8 +244,8 @@ class TestSweep:
             cwt_sweep(f, CwtParams(scales=(2.0,)))
 
     def test_checks_run_at_the_call(self):
-        # the warning and the mode check fire before any plane is made,
-        # and the warning names this file as its source
+        # the warning fires before any plane is made, and names this file
+        # as its source
         f = field_from_array(np.zeros((16, 16)))
         with pytest.warns(AliasingWarning) as caught:
             sweep = cwt_sweep(f, CwtParams(scales=(0.5, 2.0)))
@@ -258,8 +254,6 @@ class TestSweep:
         with pytest.warns(AliasingWarning) as caught:
             cwt_plane(f, 0.5)
         assert caught[0].filename == __file__
-        with pytest.raises(ValueError):
-            cwt_sweep(f, CwtParams(scales=(2.0,)), threshold_mode="odd")
 
     def test_planes_are_made_one_at_a_time(self, rng):
         f = field_from_array(rng.normal(size=(32, 32)))
@@ -276,10 +270,10 @@ def _normalized(vals, mask=None):
     return out, normalize_plane(out, valid)
 
 
-def _thresholded(vals, fraction, mode="small", mask=None):
+def _thresholded(vals, fraction, mask=None):
     out = np.array(vals, dtype=np.float64)
     valid = np.ones(out.shape, dtype=bool) if mask is None else mask
-    threshold_plane(out, valid, fraction, mode)
+    threshold_plane(out, valid, fraction)
     return out
 
 
@@ -337,20 +331,6 @@ class TestThreshold:
         vals = rng.normal(size=(8, 8))
         out = _thresholded(vals, 0.0)
         np.testing.assert_array_equal(out, vals)
-
-    def test_near_extrema_mode_clips_peaks(self):
-        vals = np.zeros((8, 8))
-        vals[0, 0] = 1.0
-        vals[0, 1] = -1.0
-        vals[0, 2] = 0.5
-        v = _thresholded(vals, 0.1, mode="near_extrema")
-        assert v[0, 0] == 0.0      # within 10% of the max
-        assert v[0, 1] == 0.0      # within 10% of the min
-        assert v[0, 2] == 0.5      # middle survives
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            _thresholded(np.zeros((8, 8)), 0.1, mode="odd")
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
