@@ -58,7 +58,6 @@ from .wft import (
     interior_mask,
     relative_phase,
     unwrap,
-    windowed_response,
 )
 
 __version__ = "0.1.0"
@@ -106,7 +105,6 @@ __all__ = [
     "read_pgm",
     "relative_phase",
     "unwrap",
-    "windowed_response",
     "wrap_phase",
     "write_field",
     "write_ppm",

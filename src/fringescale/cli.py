@@ -108,11 +108,18 @@ def _demod_phase(rc: cfgmod.ResolvedConfig, reference: ScalarField,
 
 
 def _read_pair(rc: cfgmod.ResolvedConfig, args: argparse.Namespace):
+    """Read the measured fringe pair and check the anchor rectangle
+    against its grid, which is known only now."""
     ref_path = getattr(args, "reference", None) or rc.input_reference
     dfm_path = getattr(args, "deformed", None) or rc.input_deformed
     if not ref_path or not dfm_path:
         raise ConfigError("demod needs --reference and --deformed images")
-    return read_image(ref_path), read_image(dfm_path)
+    reference, deformed = read_image(ref_path), read_image(dfm_path)
+    grid = reference.grid
+    if rc.anchor is not None and not grid.fits(rc.anchor):
+        raise ConfigError(f"anchor rectangle {rc.anchor} does not fit grid "
+                          f"{grid.width}x{grid.height}")
+    return reference, deformed
 
 
 def cmd_demod(args: argparse.Namespace) -> int:
@@ -184,14 +191,12 @@ def _display_planes(scales: tuple[float, ...]) -> list[tuple[int, float]]:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     rc = _load_config(args)
-    out = _ensure_out(rc)
-
     if rc.phantom is not None:
         pair = _write_synth(rc)
         reference, deformed = pair.reference, pair.deformed
     else:
-        reference = read_image(rc.input_reference)
-        deformed = read_image(rc.input_deformed)
+        reference, deformed = _read_pair(rc, args)
+    out = _ensure_out(rc)
 
     phase = _demod_phase(rc, reference, deformed)
     write_field(out / "phase.fgrid", phase.field)

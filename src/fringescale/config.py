@@ -188,6 +188,9 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
                 if kind == "rib_step" else None,
                 file_path=cfg["phantom.file"] or None,
             )
+            if phantom.rib_rect is not None and not grid.fits(phantom.rib_rect):
+                raise ConfigError(f"rib_rect {phantom.rib_rect} does not fit "
+                                  f"grid {grid.width}x{grid.height}")
 
         if None in (cfg["demod.band_x_lo"], cfg["demod.band_x_hi"]):
             lo, hi = DemodParams.for_carrier(carrier.fx).band_x
@@ -212,8 +215,8 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
         elif w < 1 or h < 1:
             raise ConfigError(
                 f"demod.anchor_w and demod.anchor_h must be >= 1, got {w}x{h}")
-        elif phantom is not None and (x0 + w > grid.width or y0 + h > grid.height):
-            # measured inputs are checked by anchor_far_field once read
+        elif phantom is not None and not grid.fits(anchor):
+            # measured inputs are checked by the CLI once they are read
             raise ConfigError(f"anchor rectangle {anchor} does not fit grid "
                               f"{grid.width}x{grid.height}")
 

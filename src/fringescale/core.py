@@ -48,6 +48,12 @@ class GridSpec:
     def npixels(self) -> int:
         return self.width * self.height
 
+    def fits(self, rect: tuple[int, int, int, int]) -> bool:
+        """True when the rectangle (x0, y0, w, h) is non-empty and inside."""
+        x0, y0, w, h = rect
+        return (w > 0 and h > 0 and x0 >= 0 and y0 >= 0
+                and x0 + w <= self.width and y0 + h <= self.height)
+
 
 def _frozen_array(a: np.ndarray, dtype) -> np.ndarray:
     out = np.array(a, dtype=dtype, order="C", copy=True)

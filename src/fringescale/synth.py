@@ -118,11 +118,10 @@ def make_phase(grid: GridSpec, spec: PhantomSpec) -> PhaseMap:
         values = _plume(grid, spec)
         if spec.rib_rect is None:
             raise BadSpecError("rib_step phantom needs rib_rect (x0, y0, w, h)")
-        x0, y0, w, h = spec.rib_rect
-        if w <= 0 or h <= 0 or x0 < 0 or y0 < 0 \
-                or x0 + w > grid.width or y0 + h > grid.height:
+        if not grid.fits(spec.rib_rect):
             raise BadSpecError(f"rib_rect {spec.rib_rect} does not fit grid "
                                f"{grid.width}x{grid.height}")
+        x0, y0, w, h = spec.rib_rect
         mask = np.ones(grid.shape, dtype=bool)
         mask[y0:y0 + h, x0:x0 + w] = False
         values[~mask] = 0.0

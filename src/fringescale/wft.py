@@ -8,14 +8,19 @@ exponential centered on that pixel:
                 * exp(-(sx^2 + sy^2) / (2 sigma^2))
                 * exp(-i 2 pi (u sx + v sy))
 
-The window is truncated at radius ceil(4 sigma) and pixels beyond the
-image edge contribute zero, which is exactly a zero-padded linear
+The window is truncated at radius r = ceil(4 sigma) and pixels beyond
+the image edge contribute zero, which is exactly a zero-padded linear
 convolution; it is evaluated with separable FFT convolutions along rows
-then columns. Because the exponential is re-referenced to the window
-center, the argument of the response at the ridge equals the total local
-fringe phase regardless of which frequency grid point the ridge search
-picked, so subtracting reference from deformed cancels the carrier term
-identically.
+then columns. Each axis of n pixels is padded to next_fast_len(max(n + r,
+2r + 1)) bins: the circular wrap then reaches back only into zero
+padding, so the first n outputs equal the linear convolution, and the
+2r + 1 taps each keep their own bin. The scan runs in single precision
+(complex64); the winning response and its squared magnitude are widened
+to float64 before the phase and the ridge amplitude are taken. Because
+the exponential is re-referenced to the window center, the argument of
+the response at the ridge equals the total local fringe phase regardless
+of which frequency grid point the ridge search picked, so subtracting
+reference from deformed cancels the carrier term identically.
 
 demodulate scans an inclusive frequency grid over [band_x] x [band_y]
 and keeps, per pixel, the response with the largest magnitude (ties break
@@ -131,60 +136,13 @@ def _window_taps(sigma: float) -> tuple[np.ndarray, np.ndarray]:
     return t, np.exp(-t * t / (2.0 * sigma * sigma))
 
 
-def _kernel_fft(t: np.ndarray, w: np.ndarray, freq: float, n: int) -> np.ndarray:
-    """FFT of the complex window tap vector laid out circularly in n bins."""
-    buf = np.zeros(n, dtype=np.complex128)
-    buf[t.astype(int) % n] = w * np.exp(2j * np.pi * freq * t)
-    return sfft.fft(buf)
-
-
-class _SeparableScan:
-    """Shared machinery: row-convolved intermediates per u, columns per v.
-
-    Splitting the 2D zero-padded convolution into the row stage (per u)
-    and column stage (per v) lets demodulate hoist the row work out of
-    the inner loop over v, which is where nearly all the time goes.
-    """
-
-    def __init__(self, values: np.ndarray, sigma: float):
-        self.h, self.w = values.shape
-        self.t, self.w1d = _window_taps(sigma)
-        r = len(self.t) // 2
-        self.nx = sfft.next_fast_len(self.w + 2 * r)
-        self.ny = sfft.next_fast_len(self.h + 2 * r)
-        self.row_fft = sfft.fft(values, n=self.nx, axis=1)
-
-    def rows(self, u: float) -> np.ndarray:
-        """Row-convolved image for probe frequency u, padded along columns."""
-        gx = _kernel_fft(self.t, self.w1d, u, self.nx)
-        rows = sfft.ifft(self.row_fft * gx[None, :], axis=1)[:, :self.w]
-        buf = np.zeros((self.ny, self.w), dtype=np.complex128)
-        buf[:self.h] = rows
-        return sfft.fft(buf, axis=0)
-
-    def column_kernel(self, v: float) -> np.ndarray:
-        """FFT of the column window for probe frequency v."""
-        return _kernel_fft(self.t, self.w1d, v, self.ny)
-
-    def response(self, col_fft: np.ndarray, gy: np.ndarray) -> np.ndarray:
-        # the product is a fresh temporary, so the inverse FFT may reuse it
-        return sfft.ifft(col_fft * gy[:, None], axis=0, overwrite_x=True)[:self.h]
-
-
-def _check_probe(u: float, v: float):
-    if abs(u) >= 0.5 or abs(v) >= 0.5:
-        raise BadFrequencyError(
-            f"probe frequency ({u}, {v}) outside the open Nyquist square (+-0.5)")
-
-
-def windowed_response(img: ScalarField, u: float, v: float,
-                      sigma: float) -> np.ndarray:
-    """Complex windowed response at every pixel for one probe frequency."""
-    _check_probe(u, v)
-    if not (sigma > 0.0 and np.isfinite(sigma)):
-        raise BadSpecError(f"window sigma must be positive, got {sigma}")
-    scan = _SeparableScan(img.values, sigma)
-    return scan.response(scan.rows(u), scan.column_kernel(v))
+def _kernel_ffts(t: np.ndarray, w: np.ndarray, freqs: np.ndarray,
+                 n: int) -> np.ndarray:
+    """FFTs of the complex window tap vectors, one row per frequency, laid
+    out circularly in n bins; built in float64, then cast to complex64."""
+    buf = np.zeros((len(freqs), n), dtype=np.complex128)
+    buf[:, t.astype(int) % n] = w * np.exp(2j * np.pi * np.outer(freqs, t))
+    return sfft.fft(buf, axis=1).astype(np.complex64)
 
 
 def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
@@ -193,31 +151,39 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
     Per pixel, keeps the (u, v) grid point maximizing the response
     magnitude; ties resolve to the smallest u, then v, by scanning the
     grid in ascending order with strict improvement. Masked pixels get
-    phase 0; their ridge values are computed but carry no meaning.
+    phase 0; their ridge values are computed but carry no meaning. The
+    row stage runs once per u, hoisted out of the loop over v, where
+    nearly all the time goes.
     """
     us = frequency_grid(params.band_x, params.step)
     vs = frequency_grid(params.band_y, params.step)
     for f in (us[0], us[-1], vs[0], vs[-1]):
         if abs(f) >= 0.5:
             raise BadFrequencyError(f"band frequency {f} reaches Nyquist")
-    scan = _SeparableScan(img.values, params.window_sigma)
-    col_kernels = [scan.column_kernel(v) for v in vs]
-    shape = img.grid.shape
-    best_mag2 = np.full(shape, -1.0)
-    best_resp = np.zeros(shape, dtype=np.complex128)
+    h, w = shape = img.grid.shape
+    t, taps = _window_taps(params.window_sigma)
+    r = len(t) // 2
+    nx, ny = (sfft.next_fast_len(max(n + r, 2 * r + 1)) for n in (w, h))
+    row_fft = sfft.fft(img.values, n=nx, axis=1).astype(np.complex64)
+    col_kernels = _kernel_ffts(t, taps, vs, ny)[:, :, None]
+    best_mag2 = np.full(shape, -1.0, dtype=np.float32)
+    best_resp = np.zeros(shape, dtype=np.complex64)
     best_idx = np.zeros(shape, dtype=np.int32)  # flat (u, v) grid index
-    for i, u in enumerate(us):
-        col_fft = scan.rows(u)
+    for i, gx in enumerate(_kernel_ffts(t, taps, us, nx)):
+        rows = sfft.ifft(row_fft * gx, axis=1)[:, :w]
+        col_fft = sfft.fft(rows, n=ny, axis=0)
         for j, gy in enumerate(col_kernels):
-            resp = scan.response(col_fft, gy)
-            mag2 = resp.real * resp.real + resp.imag * resp.imag
+            # the product is a fresh temporary, so the inverse FFT may reuse it
+            resp = sfft.ifft(col_fft * gy, axis=0, overwrite_x=True)[:h]
+            mag2 = np.square(resp.real) + np.square(resp.imag)
             better = mag2 > best_mag2
             np.copyto(best_mag2, mag2, where=better)
             np.copyto(best_resp, resp, where=better)
             np.copyto(best_idx, i * len(vs) + j, where=better)
     best_u, best_v = np.divmod(best_idx, len(vs))
     valid = img.valid()
-    phase_vals = np.where(valid, wrap_phase(np.angle(best_resp)), 0.0)
+    phase_vals = np.where(
+        valid, wrap_phase(np.angle(best_resp.astype(np.complex128))), 0.0)
     meta = {
         "window_sigma": repr(params.window_sigma),
         "band_x": f"{params.band_x[0]!r},{params.band_x[1]!r}",
@@ -231,7 +197,8 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
                        wrapped=True, meta=meta),
         freq_x=ScalarField(img.grid, us[best_u]),
         freq_y=ScalarField(img.grid, vs[best_v]),
-        ridge_amplitude=ScalarField(img.grid, np.sqrt(best_mag2)),
+        ridge_amplitude=ScalarField(img.grid,
+                                    np.sqrt(best_mag2.astype(np.float64))),
     )
 
 
@@ -377,11 +344,10 @@ def anchor_far_field(p: PhaseMap, rect: tuple[int, int, int, int]) -> PhaseMap:
     """
     if p.wrapped:
         raise ValueError("anchor_far_field expects an unwrapped phase map")
-    x0, y0, w, h = rect
-    if w <= 0 or h <= 0 or x0 < 0 or y0 < 0 \
-            or x0 + w > p.grid.width or y0 + h > p.grid.height:
+    if not p.grid.fits(rect):
         raise BadSpecError(f"far-field rect {rect} does not fit grid "
                            f"{p.grid.width}x{p.grid.height}")
+    x0, y0, w, h = rect
     sel = np.zeros(p.grid.shape, dtype=bool)
     sel[y0:y0 + h, x0:x0 + w] = True
     sel &= p.field.valid()

@@ -3,6 +3,9 @@
 Everything here is deliberately slow and literal: direct spatial sums
 with no FFTs, a pixel-by-pixel flood-fill unwrap and a cell-by-cell
 marching squares, so agreement with the production code is meaningful.
+The one FFT reference is the windowed-Fourier ridge scan as it ran before
+the production scan moved to single precision and a shorter padding: a
+double-precision scan padded by the full window width on both sides.
 """
 
 import heapq
@@ -10,10 +13,14 @@ import math
 from collections import Counter, defaultdict
 
 import numpy as np
+from scipy import fft as sfft
 
-from fringescale import AllMaskedError, masked_extrema, mexican_hat
+from fringescale import (AllMaskedError, PhaseMap, RidgeResult, ScalarField,
+                         masked_extrema, mexican_hat, wrap_phase)
 from fringescale.contours import contour_levels, marching_squares
 from fringescale.core import TWO_PI
+from fringescale.wft import (INTERIOR_MARGIN_SIGMAS, WINDOW_TRUNCATION_SIGMAS,
+                             frequency_grid)
 
 
 def periodized_kernel(n_rows, n_cols, alpha, copies=None):
@@ -228,3 +235,93 @@ def contour_csv_text(field, levels):
                 rows.append(f"{level:.17g},{seg},{x:.17g},{y:.17g}")
             seg += 1
     return "\n".join(rows) + "\n"
+
+
+def _window_taps(sigma):
+    r = int(np.ceil(WINDOW_TRUNCATION_SIGMAS * sigma))
+    t = np.arange(-r, r + 1, dtype=np.float64)
+    return t, np.exp(-t * t / (2.0 * sigma * sigma))
+
+
+def _kernel_fft(t, w, freq, n):
+    """FFT of the complex window tap vector laid out circularly in n bins."""
+    buf = np.zeros(n, dtype=np.complex128)
+    buf[t.astype(int) % n] = w * np.exp(2j * np.pi * freq * t)
+    return sfft.fft(buf)
+
+
+class _SeparableScan:
+    """Double-precision row-then-column convolutions, each axis padded to
+    next_fast_len(n + 2r) with r = ceil(4 sigma)."""
+
+    def __init__(self, values, sigma):
+        self.h, self.w = values.shape
+        self.t, self.w1d = _window_taps(sigma)
+        r = len(self.t) // 2
+        self.nx = sfft.next_fast_len(self.w + 2 * r)
+        self.ny = sfft.next_fast_len(self.h + 2 * r)
+        self.row_fft = sfft.fft(values, n=self.nx, axis=1)
+
+    def rows(self, u):
+        """Row-convolved image for probe frequency u, padded along columns."""
+        gx = _kernel_fft(self.t, self.w1d, u, self.nx)
+        rows = sfft.ifft(self.row_fft * gx[None, :], axis=1)[:, :self.w]
+        buf = np.zeros((self.ny, self.w), dtype=np.complex128)
+        buf[:self.h] = rows
+        return sfft.fft(buf, axis=0)
+
+    def column_kernel(self, v):
+        """FFT of the column window for probe frequency v."""
+        return _kernel_fft(self.t, self.w1d, v, self.ny)
+
+    def response(self, col_fft, gy):
+        # the product is a fresh temporary, so the inverse FFT may reuse it
+        return sfft.ifft(col_fft * gy[:, None], axis=0, overwrite_x=True)[:self.h]
+
+
+def windowed_response(img, u, v, sigma):
+    """Complex windowed response at every pixel for one probe frequency,
+    in double precision."""
+    scan = _SeparableScan(img.values, sigma)
+    return scan.response(scan.rows(u), scan.column_kernel(v))
+
+
+def float64_demodulate(img, params):
+    """Exhaustive double-precision ridge scan; the reference for
+    wft.demodulate, with the same tie rule (ascending u, then v, strict
+    improvement)."""
+    us = frequency_grid(params.band_x, params.step)
+    vs = frequency_grid(params.band_y, params.step)
+    scan = _SeparableScan(img.values, params.window_sigma)
+    col_kernels = [scan.column_kernel(v) for v in vs]
+    shape = img.grid.shape
+    best_mag2 = np.full(shape, -1.0)
+    best_resp = np.zeros(shape, dtype=np.complex128)
+    best_idx = np.zeros(shape, dtype=np.int32)  # flat (u, v) grid index
+    for i, u in enumerate(us):
+        col_fft = scan.rows(u)
+        for j, gy in enumerate(col_kernels):
+            resp = scan.response(col_fft, gy)
+            mag2 = resp.real * resp.real + resp.imag * resp.imag
+            better = mag2 > best_mag2
+            np.copyto(best_mag2, mag2, where=better)
+            np.copyto(best_resp, resp, where=better)
+            np.copyto(best_idx, i * len(vs) + j, where=better)
+    best_u, best_v = np.divmod(best_idx, len(vs))
+    valid = img.valid()
+    phase_vals = np.where(valid, wrap_phase(np.angle(best_resp)), 0.0)
+    meta = {
+        "window_sigma": repr(params.window_sigma),
+        "band_x": f"{params.band_x[0]!r},{params.band_x[1]!r}",
+        "band_y": f"{params.band_y[0]!r},{params.band_y[1]!r}",
+        "step": repr(params.step),
+        "interior_margin_px": str(int(np.ceil(
+            INTERIOR_MARGIN_SIGMAS * params.window_sigma))),
+    }
+    return RidgeResult(
+        phase=PhaseMap(ScalarField(img.grid, phase_vals, img.mask),
+                       wrapped=True, meta=meta),
+        freq_x=ScalarField(img.grid, us[best_u]),
+        freq_y=ScalarField(img.grid, vs[best_v]),
+        ridge_amplitude=ScalarField(img.grid, np.sqrt(best_mag2)),
+    )

@@ -13,6 +13,7 @@ from fringescale import (
     read_field,
     write_field,
 )
+from fringescale import cli
 from fringescale.cli import main
 from fringescale.config import (
     SCHEMA,
@@ -117,6 +118,15 @@ class TestResolve:
     ])
     def test_anchor_kept_when_it_may_fit(self, values, anchor):
         assert resolve(values).anchor == anchor
+
+    @pytest.mark.parametrize("rect", [(60, 0, 10, 10), (0, 60, 8, 8),
+                                      (0, 0, 0, 8), (-1, 0, 8, 8)])
+    def test_rib_rect_off_grid_rejected(self, rect):
+        values = {"grid.width": 64, "grid.height": 64, "phantom.kind": "rib_step"}
+        values.update(zip(("phantom.rib_x0", "phantom.rib_y0",
+                           "phantom.rib_w", "phantom.rib_h"), rect))
+        with pytest.raises(ConfigError, match="does not fit"):
+            resolve(values)
 
     def test_rng_pinned(self):
         with pytest.raises(ConfigError, match="philox4x64"):
@@ -392,6 +402,39 @@ class TestCliPipeline:
         out = tmp_path / "p"
         assert main(["pipeline", "--out", str(out)] + FAST + anchor) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_rib_rect_exits_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        rib = ["--set", "phantom.kind=rib_step", "--set", "phantom.rib_x0=60",
+               "--set", "phantom.rib_y0=0", "--set", "phantom.rib_w=10",
+               "--set", "phantom.rib_h=10"]
+        assert main(["pipeline", "--out", str(out)] + FAST + rib) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["demod", "pipeline"])
+    def test_measured_off_grid_anchor_exits_2_before_any_scan(
+            self, tmp_path, capsys, monkeypatch, command):
+        synth_out = tmp_path / "s"
+        assert main(["synth", "--out", str(synth_out)] + FAST) == 0
+        scans, demodulate = [], cli.demodulate
+
+        def counting_demodulate(*a, **k):
+            scans.append(a)
+            return demodulate(*a, **k)
+
+        monkeypatch.setattr(cli, "demodulate", counting_demodulate)
+        out = tmp_path / "p"
+        args = FAST + [
+            "--set", f"input.reference={synth_out / 'reference.fgrid'}",
+            "--set", f"input.deformed={synth_out / 'deformed.fgrid'}",
+            "--set", "demod.anchor_x0=60", "--set", "demod.anchor_y0=0",
+            "--set", "demod.anchor_w=10", "--set", "demod.anchor_h=10",
+        ]
+        assert main([command, "--out", str(out)] + args) == 2
+        assert "does not fit grid 64x64" in capsys.readouterr().err
+        assert not scans
         assert not out.exists()
 
     def test_input_files_instead_of_phantom(self, tmp_path):
