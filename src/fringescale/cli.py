@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     CorruptHeaderError,
     FringescaleError,
+    GridMismatchError,
     TruncatedPayloadError,
     UnsupportedFormatError,
 )
@@ -108,14 +109,18 @@ def _demod_phase(rc: cfgmod.ResolvedConfig, reference: ScalarField,
 
 
 def _read_pair(rc: cfgmod.ResolvedConfig, args: argparse.Namespace):
-    """Read the measured fringe pair and check the anchor rectangle
-    against its grid, which is known only now."""
+    """Read the measured fringe pair, check that both images share a grid
+    and check the anchor rectangle against it, which is known only now."""
     ref_path = getattr(args, "reference", None) or rc.input_reference
     dfm_path = getattr(args, "deformed", None) or rc.input_deformed
     if not ref_path or not dfm_path:
         raise ConfigError("demod needs --reference and --deformed images")
     reference, deformed = read_image(ref_path), read_image(dfm_path)
     grid = reference.grid
+    if deformed.grid != grid:
+        raise GridMismatchError(
+            f"reference grid {grid.width}x{grid.height} and deformed grid "
+            f"{deformed.grid.width}x{deformed.grid.height} differ")
     if rc.anchor is not None and not grid.fits(rc.anchor):
         raise ConfigError(f"anchor rectangle {rc.anchor} does not fit grid "
                           f"{grid.width}x{grid.height}")

@@ -38,15 +38,25 @@ alpha * psi_hat(alpha w) is not this multiplier: it leaves out the part
 of the spectrum that sampling folds back from beyond Nyquist, ~10% of
 it at alpha = 1.
 
-For production runs on real phase maps the input is edge-padded by
-2 * alpha_max pixels and cropped after the transform to suppress
-wraparound, while oracle and covariance tests run unpadded so the
-periodic convention is exact.
+For production runs on real phase maps the input is edge-padded and
+the plane cropped after the transform to suppress wraparound, while
+oracle and covariance tests run unpadded so the periodic convention is
+exact. The pad follows one of two rules (Torrence & Compo, BAMS 79, 61,
+1998, on padding and edge effects):
 
-A sweep transforms the input once and then makes its planes one scale
-at a time: each plane is cropped, masked, optionally divided by its own
-peak (normalize_plane) and thresholded (threshold_plane) before the
-next one exists, so memory holds a few planes, never the stack.
+* a plane whose hat reach HAT_REACH * alpha is shorter than
+  2 * alpha_max is padded by p = ceil(HAT_REACH * alpha) before each
+  axis and up to the next 5-smooth FFT length after it. No pixel it
+  keeps reads past the padding, so it equals the plane on any larger
+  edge-padded grid to rounding;
+* the other planes share one margin of 2 * alpha_max pixels on every
+  side, because their edge values depend on how that grid wraps.
+
+A sweep makes its planes one scale at a time, transforming the padded
+input once per pad: each plane is cropped, masked, optionally divided
+by its own peak and thresholded before the next one exists, so memory
+holds one padded spectrum and a few planes, never the stack.
+normalize_plane and threshold_plane are those two steps on their own.
 cwt_plane is the one-scale sweep with neither step.
 
 Scales below 1 px leave psi_hat with significant energy beyond the
@@ -59,6 +69,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
 from .core import PhaseMap, ScalarField
 from .errors import AliasingWarning, AllMaskedError, BadScaleError
@@ -152,14 +163,22 @@ def _axis_dfts(n: int, alpha: float, half: bool) -> tuple[np.ndarray, np.ndarray
     return fft(g).real, fft(h).real
 
 
-def _plane_values(spectrum: np.ndarray, shape: tuple[int, int],
-                  alpha: float) -> np.ndarray:
-    """Plane at scale alpha from rfft2 of the (padded) input of shape."""
+def _plane_values(spectrum: np.ndarray, shape: tuple[int, int], alpha: float,
+                  rows: slice, cols: slice) -> np.ndarray:
+    """Plane at scale alpha from rfft2 of the (padded) input of shape,
+    cropped to rows and cols.
+
+    The inverse transform runs as irfft2 does, a complex ifft down the
+    columns and then a real irfft along the rows, but the row pass only
+    covers the rows kept, so the result equals irfft2 then crop bit for
+    bit. The column pass overwrites the product spectrum.
+    """
     gy, hy = _axis_dfts(shape[0], alpha, half=False)
     gx, hx = _axis_dfts(shape[1], alpha, half=True)
-    mult = (gy[:, None] * (2.0 * gx - hx)[None, :]
-            - hy[:, None] * gx[None, :]) / alpha
-    return np.fft.irfft2(spectrum * mult, s=shape)
+    product = spectrum * ((gy[:, None] * (2.0 * gx - hx)[None, :]
+                           - hy[:, None] * gx[None, :]) / alpha)
+    product = sfft.ifft(product, axis=0, overwrite_x=True)[rows]
+    return sfft.irfft(product, n=shape[1], axis=1)[:, cols]
 
 
 def _plane_peak(values: np.ndarray, valid: np.ndarray) -> float:
@@ -189,7 +208,11 @@ def threshold_plane(values: np.ndarray, valid: np.ndarray, fraction: float) -> N
         raise ValueError(f"threshold fraction must lie in [0, 1), got {fraction}")
     if fraction == 0.0 or not valid.any():
         return
-    keep = np.abs(values) >= fraction * _plane_peak(values, valid)
+    _zero_below(values, fraction * _plane_peak(values, valid))
+
+
+def _zero_below(values: np.ndarray, cut: float) -> None:
+    keep = np.abs(values) >= cut
     np.copyto(values, 0.0, where=~keep)
 
 
@@ -197,13 +220,19 @@ class CwtSweep:
     """The planes of a multi-scale sweep, made one scale at a time.
 
     Construction checks the input (AllMaskedError, AliasingWarning;
-    CwtParams has already refused bad scales) and computes the forward
-    FFT once. With padding on, a single margin of 2 * max(scales) pixels
-    serves every plane, so all planes crop identically. Each step of the
-    iteration then yields (alpha, plane, divisor) for the next scale:
-    the plane is cropped, masked, normalized and thresholded as params
-    say, and divisor is the peak it was divided by (1.0 when it was not
+    CwtParams has already refused bad scales). Each step of the iteration
+    then yields (alpha, plane, divisor) for the next scale: the plane is
+    cropped, masked, normalized and thresholded as params say, and
+    divisor is the peak it was divided by (1.0 when it was not
     normalized). No plane is kept once it has been handed out.
+
+    With padding on, a plane whose hat reach HAT_REACH * alpha is
+    shorter than 2 * max(scales) gets a pad of ceil(HAT_REACH * alpha)
+    pixels before each axis and a 5-smooth padded length; the others
+    share a margin of 2 * max(scales) pixels on every side (see the
+    module docstring). Scales increase, so the pad never shrinks along
+    the sweep: one padded spectrum is held at a time, and the forward
+    FFT runs once per pad.
     """
 
     def __init__(self, phase, params: CwtParams):
@@ -217,14 +246,10 @@ class CwtSweep:
                     f"scale {a} is below 1 px; the sampled wavelet keeps "
                     f"significant energy beyond Nyquist and the plane may alias",
                     AliasingWarning, stacklevel=3)
-        arr = f.values
-        self._padw = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
-        if self._padw:
-            arr = np.pad(arr, self._padw, mode="edge")
-        self._shape = arr.shape
-        self._spectrum = np.fft.rfft2(arr)
-        self._field, self._valid = f, f.valid()
+        self._field = f
         self._params = params
+        self._wrap_pad = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
+        self._pad = self._spectrum = None
         self.scales = params.scales
         self._planes = map(self._plane, params.scales)
 
@@ -242,15 +267,41 @@ class CwtSweep:
         """The sweep itself; perfbench/spans.py counts len(sweep.planes)."""
         return self
 
+    def _grid(self, alpha: float) -> tuple[int, tuple[int, int]]:
+        """The pad before each axis and the padded shape for alpha.
+
+        A reach below the shared margin ceil(2 * max(scales)) implies
+        HAT_REACH * alpha < 2 * max(scales); a reach that rounds up to
+        the margin itself takes the shared grid, which is wide enough.
+        """
+        pad, (h, w) = self._wrap_pad, self._field.grid.shape
+        reach = int(np.ceil(HAT_REACH * alpha))
+        if reach < pad:
+            return reach, (sfft.next_fast_len(h + 2 * reach, real=True),
+                           sfft.next_fast_len(w + 2 * reach, real=True))
+        return pad, (h + 2 * pad, w + 2 * pad)
+
     def _plane(self, alpha: float) -> tuple[float, ScalarField, float]:
-        f, padw = self._field, self._padw
-        out = _plane_values(self._spectrum, self._shape, alpha)
-        if padw:
-            out = out[padw:padw + f.grid.height, padw:padw + f.grid.width]
+        f, params = self._field, self._params
+        (h, w), (pad, shape) = f.grid.shape, self._grid(alpha)
+        if pad != self._pad:
+            self._spectrum = None  # drop the old one before making the next
+            self._spectrum = np.fft.rfft2(np.pad(
+                f.values, ((pad, shape[0] - h - pad), (pad, shape[1] - w - pad)),
+                mode="edge"))
+            self._pad = pad
+        out = _plane_values(self._spectrum, shape, alpha,
+                            slice(pad, pad + h), slice(pad, pad + w))
         if f.mask is not None:
             out = np.where(f.mask, out, 0.0)
-        divisor = normalize_plane(out, self._valid) if self._params.normalize else 1.0
-        threshold_plane(out, self._valid, self._params.threshold_fraction)
+        # masked pixels hold 0, so the peak over valid pixels is the peak
+        # over all of them, and a normalized plane's peak is exactly 1
+        peak, divisor = float(np.abs(out).max()), 1.0
+        if params.normalize and peak > 0.0:
+            out /= peak
+            peak, divisor = 1.0, peak
+        if params.threshold_fraction > 0.0:
+            _zero_below(out, params.threshold_fraction * peak)
         return alpha, ScalarField(f.grid, out, f.mask), divisor
 
 

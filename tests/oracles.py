@@ -3,9 +3,12 @@
 Everything here is deliberately slow and literal: direct spatial sums
 with no FFTs, a pixel-by-pixel flood-fill unwrap and a cell-by-cell
 marching squares, so agreement with the production code is meaningful.
-The one FFT reference is the windowed-Fourier ridge scan as it ran before
-the production scan moved to single precision and a shorter padding: a
-double-precision scan padded by the full window width on both sides.
+Two FFT references keep earlier production code as it ran: the
+windowed-Fourier ridge scan before it moved to single precision and a
+shorter padding (a double-precision scan padded by the full window width
+on both sides), and the wavelet sweep before each plane got a pad sized
+to its own hat reach (every plane on one grid edge-padded by
+2 * max(scales), inverted by irfft2).
 """
 
 import heapq
@@ -18,6 +21,7 @@ from scipy import fft as sfft
 from fringescale import (AllMaskedError, PhaseMap, RidgeResult, ScalarField,
                          masked_extrema, mexican_hat, wrap_phase)
 from fringescale.contours import contour_levels, marching_squares
+from fringescale.cwt import HAT_REACH, normalize_plane, threshold_plane
 from fringescale.core import TWO_PI
 from fringescale.wft import (INTERIOR_MARGIN_SIGMAS, WINDOW_TRUNCATION_SIGMAS,
                              frequency_grid)
@@ -325,3 +329,40 @@ def float64_demodulate(img, params):
         freq_y=ScalarField(img.grid, vs[best_v]),
         ridge_amplitude=ScalarField(img.grid, np.sqrt(best_mag2)),
     )
+
+
+def _hat_axis_dfts(n, alpha, half):
+    """DFTs (G, H) of the periodized samples of g(d/alpha) and
+    (d/alpha)^2 g(d/alpha) on an axis of n pixels."""
+    copies = int(np.ceil(HAT_REACH * alpha / n))
+    d = np.arange(n, dtype=np.float64)
+    d = np.where(d > n / 2, d - n, d)
+    t = (d[None, :] + n * np.arange(-copies, copies + 1)[:, None]) / alpha
+    g = np.exp(-0.5 * t * t)
+    g, h = g.sum(axis=0), (t * t * g).sum(axis=0)
+    fft = np.fft.rfft if half else np.fft.fft
+    return fft(g).real, fft(h).real
+
+
+def uniform_pad_sweep(field, params):
+    """The wavelet sweep on one grid for every plane: (alpha, plane,
+    divisor) per scale, with the input edge-padded by ceil(2 * max(scales))
+    pixels when params.pad is on, each plane from irfft2 and cropped,
+    masked, normalized and thresholded over its valid pixels."""
+    padw = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
+    arr = np.pad(field.values, padw, mode="edge") if padw else field.values
+    spectrum = np.fft.rfft2(arr)
+    valid = field.valid()
+    h, w = field.grid.shape
+    for alpha in params.scales:
+        gy, hy = _hat_axis_dfts(arr.shape[0], alpha, half=False)
+        gx, hx = _hat_axis_dfts(arr.shape[1], alpha, half=True)
+        mult = (gy[:, None] * (2.0 * gx - hx)[None, :]
+                - hy[:, None] * gx[None, :]) / alpha
+        out = np.fft.irfft2(spectrum * mult, s=arr.shape)
+        out = out[padw:padw + h, padw:padw + w]
+        if field.mask is not None:
+            out = np.where(field.mask, out, 0.0)
+        divisor = normalize_plane(out, valid) if params.normalize else 1.0
+        threshold_plane(out, valid, params.threshold_fraction)
+        yield alpha, ScalarField(field.grid, out, field.mask), divisor

@@ -437,6 +437,31 @@ class TestCliPipeline:
         assert not scans
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["demod", "pipeline"])
+    def test_measured_grid_mismatch_exits_4_before_any_scan(
+            self, tmp_path, capsys, monkeypatch, command):
+        synth_out = tmp_path / "s"
+        assert main(["synth", "--out", str(synth_out)] + FAST) == 0
+        deformed = read_field(synth_out / "deformed.fgrid")
+        short = tmp_path / "deformed_64x48.fgrid"
+        write_field(short, field_from_array(deformed.values[:48].copy()))
+        scans, demodulate = [], cli.demodulate
+
+        def counting_demodulate(*a, **k):
+            scans.append(a)
+            return demodulate(*a, **k)
+
+        monkeypatch.setattr(cli, "demodulate", counting_demodulate)
+        out = tmp_path / "p"
+        args = FAST + [
+            "--set", f"input.reference={synth_out / 'reference.fgrid'}",
+            "--set", f"input.deformed={short}",
+        ]
+        assert main([command, "--out", str(out)] + args) == 4
+        assert "64x64 and deformed grid 64x48 differ" in capsys.readouterr().err
+        assert not scans
+        assert not out.exists()
+
     def test_input_files_instead_of_phantom(self, tmp_path):
         synth_out = tmp_path / "s"
         assert main(["synth", "--out", str(synth_out)] + FAST) == 0

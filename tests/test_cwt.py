@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from fringescale import (
     mexican_hat,
     mexican_hat_spectrum,
 )
-from fringescale.cwt import normalize_plane, threshold_plane
-from oracles import brute_cwt_plane
+from fringescale.cwt import HAT_REACH, normalize_plane, threshold_plane
+from oracles import brute_cwt_plane, uniform_pad_sweep
 
 
 class TestWaveletIdentities:
@@ -262,6 +263,88 @@ class TestSweep:
         assert next(sweep)[0] == 4.0
         with pytest.raises(StopIteration):
             next(sweep)
+
+
+def _masked_ramp(h, w, rng):
+    """A non-periodic, non-square phase with a masked hole, zero inside."""
+    y, x = np.mgrid[0:h, 0:w].astype(float)
+    vals = 0.05 * x + np.sin(y / 7.0) + 0.1 * rng.normal(size=(h, w))
+    mask = np.ones((h, w), dtype=bool)
+    mask[10:20, 30:45] = False
+    return field_from_array(np.where(mask, vals, 0.0), mask)
+
+
+class TestSweepMatchesUniformPadOracle:
+    # max(scales) = 10, so planes with HAT_REACH * alpha < 20 get a pad
+    # sized to their own reach, except 1.99, whose reach rounds up to the
+    # margin itself; 2.0 sits exactly on the boundary and keeps the
+    # shared 2 * max(scales) margin with the larger scales
+    SCALES = (1.0, 1.3, 1.7, 1.99, 2.0, 3.0, 5.5, 10.0)
+
+    def test_planes_and_divisors(self, rng):
+        f = _masked_ramp(70, 53, rng)
+        params = CwtParams(scales=self.SCALES)
+        wrap = 2.0 * max(self.SCALES)
+        crossed = []
+        for (alpha, got, divisor), (_, want, want_divisor) in zip(
+                cwt_sweep(f, params), uniform_pad_sweep(f, params)):
+            g, w = got.values, want.values
+            assert np.array_equal(got.mask, want.mask)
+            if HAT_REACH * alpha >= wrap:
+                assert divisor == want_divisor, alpha
+                np.testing.assert_array_equal(g, w, err_msg=f"alpha={alpha}")
+                continue
+            assert abs(divisor - want_divisor) <= 1e-12 * want_divisor, alpha
+            cross = (g == 0.0) != (w == 0.0)
+            crossed += [(alpha, tuple(ij)) for ij in np.argwhere(cross)]
+            assert np.abs(g - w)[~cross].max() <= 1e-12, alpha
+            assert (g[~f.mask] == 0.0).all()
+        assert not crossed, f"pixels that crossed the threshold: {crossed}"
+
+    def test_unnormalized_planes_close(self, rng):
+        # the threshold then cuts at a fraction of the plane's own peak
+        f = _masked_ramp(70, 53, rng)
+        params = CwtParams(scales=self.SCALES, normalize=False)
+        for (alpha, got, _), (_, want, _) in zip(cwt_sweep(f, params),
+                                                 uniform_pad_sweep(f, params)):
+            scale = np.abs(want.values).max()
+            assert np.abs(got.values - want.values).max() <= 1e-12 * scale, alpha
+
+    def test_unpadded_sweep_is_the_oracle(self, rng):
+        f = _masked_ramp(70, 53, rng)
+        params = CwtParams(scales=self.SCALES, pad=False)
+        for (_, got, divisor), (_, want, want_divisor) in zip(
+                cwt_sweep(f, params), uniform_pad_sweep(f, params)):
+            assert divisor == want_divisor
+            np.testing.assert_array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("pad", [True, False])
+    def test_single_plane_is_the_oracle(self, rng, pad):
+        # one scale always reaches 10 alpha >= 2 alpha, the shared margin
+        f = _masked_ramp(70, 53, rng)
+        for alpha in (1.0, 4.5):
+            params = CwtParams(scales=(alpha,), threshold_fraction=0.0,
+                               normalize=False, pad=pad)
+            (_, want, _), = uniform_pad_sweep(f, params)
+            np.testing.assert_array_equal(cwt_plane(f, alpha, pad=pad).values,
+                                          want.values)
+
+    def test_alloc_peak_not_above_the_oracle(self, rng):
+        # one padded spectrum at a time: the reach-sized pads must not
+        # hold more than the single shared grid did
+        f = field_from_array(rng.normal(size=(256, 256)).cumsum(axis=0))
+        params = CwtParams(scales=default_scale_grid())
+
+        def alloc_peak(sweep):
+            tracemalloc.start()
+            try:
+                for _ in sweep(f, params):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert alloc_peak(cwt_sweep) <= alloc_peak(uniform_pad_sweep)
 
 
 def _normalized(vals, mask=None):
