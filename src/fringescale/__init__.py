@@ -13,7 +13,6 @@ from .core import (
     GridSpec,
     PhaseMap,
     ScalarField,
-    apply_mask,
     field_from_array,
     masked_extrema,
     wrap_phase,
@@ -88,7 +87,6 @@ __all__ = [
     "TruncatedPayloadError",
     "UnsupportedFormatError",
     "anchor_far_field",
-    "apply_mask",
     "cwt_plane",
     "cwt_sweep",
     "default_scale_grid",

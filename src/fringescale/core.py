@@ -67,7 +67,7 @@ class ScalarField:
 
     The mask is True where the pixel is valid. Masked-out pixels must
     hold 0 exactly; the constructor rejects anything else rather than
-    silently rewriting data (apply_mask is the sanctioned zeroing path).
+    silently rewriting data.
     """
 
     grid: GridSpec
@@ -173,16 +173,3 @@ def masked_extrema(f: ScalarField) -> tuple[float, float]:
     v = f.values[valid]
     return float(v.min()), float(v.max())
 
-
-def apply_mask(f: ScalarField, mask: np.ndarray) -> ScalarField:
-    """Return f with the extra mask ANDed in and newly invalid pixels zeroed.
-
-    Idempotent: applying the same mask twice changes nothing.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != f.grid.shape:
-        raise GridMismatchError(
-            f"mask shape {mask.shape} does not match grid {f.grid.shape}")
-    joint = mask & f.valid()
-    values = np.where(joint, f.values, 0.0)
-    return ScalarField(f.grid, values, joint)

@@ -41,23 +41,25 @@ it at alpha = 1.
 For production runs on real phase maps the input is edge-padded and
 the plane cropped after the transform to suppress wraparound, while
 oracle and covariance tests run unpadded so the periodic convention is
-exact. The pad follows one of two rules (Torrence & Compo, BAMS 79, 61,
-1998, on padding and edge effects):
+exact. The padded length of each axis follows one of two rules
+(Torrence & Compo, BAMS 79, 61, 1998, on padding and edge effects):
 
 * a plane whose hat reach HAT_REACH * alpha is shorter than
-  2 * alpha_max is padded by p = ceil(HAT_REACH * alpha) before each
-  axis and up to the next 5-smooth FFT length after it. No pixel it
-  keeps reads past the padding, so it equals the plane on any larger
-  edge-padded grid to rounding;
-* the other planes share one margin of 2 * alpha_max pixels on every
-  side, because their edge values depend on how that grid wraps.
+  2 * alpha_max takes the 5-smooth length at or above
+  n + 2 * ceil(HAT_REACH * alpha). No pixel it keeps reads past the
+  padding, so it equals the plane on any larger edge-padded grid to
+  rounding;
+* the other planes share the length n + 2 * ceil(2 * alpha_max),
+  because their edge values depend on how that grid wraps.
 
-A sweep makes its planes one scale at a time, transforming the padded
-input once per pad: each plane is cropped, masked, optionally divided
-by its own peak and thresholded before the next one exists, so memory
-holds one padded spectrum and a few planes, never the stack.
-normalize_plane and threshold_plane are those two steps on their own.
-cwt_plane is the one-scale sweep with neither step.
+The input sits centred, (L - n) // 2 pixels from the start of a length
+L, so planes of equal padded shape share one forward transform. A sweep
+makes its planes one scale at a time; scales increase, so equal shapes
+come in a row and memory holds one padded spectrum. Each plane is
+cropped, masked, optionally divided by its own peak and thresholded
+before the next one exists, never the whole stack. normalize_plane and
+threshold_plane are those two steps on their own; cwt_plane is the
+one-scale sweep with neither step.
 
 Scales below 1 px leave psi_hat with significant energy beyond the
 Nyquist frequency and trigger AliasingWarning; scales <= 0 are refused.
@@ -208,12 +210,11 @@ def threshold_plane(values: np.ndarray, valid: np.ndarray, fraction: float) -> N
         raise ValueError(f"threshold fraction must lie in [0, 1), got {fraction}")
     if fraction == 0.0 or not valid.any():
         return
-    _zero_below(values, fraction * _plane_peak(values, valid))
+    _zero_below(values, np.abs(values), fraction * _plane_peak(values, valid))
 
 
-def _zero_below(values: np.ndarray, cut: float) -> None:
-    keep = np.abs(values) >= cut
-    np.copyto(values, 0.0, where=~keep)
+def _zero_below(values: np.ndarray, magnitude: np.ndarray, cut: float) -> None:
+    np.copyto(values, 0.0, where=magnitude < cut)
 
 
 class CwtSweep:
@@ -227,12 +228,12 @@ class CwtSweep:
     normalized). No plane is kept once it has been handed out.
 
     With padding on, a plane whose hat reach HAT_REACH * alpha is
-    shorter than 2 * max(scales) gets a pad of ceil(HAT_REACH * alpha)
-    pixels before each axis and a 5-smooth padded length; the others
-    share a margin of 2 * max(scales) pixels on every side (see the
-    module docstring). Scales increase, so the pad never shrinks along
-    the sweep: one padded spectrum is held at a time, and the forward
-    FFT runs once per pad.
+    shorter than 2 * max(scales) gets the 5-smooth length at or above
+    n + 2 * ceil(HAT_REACH * alpha) on each axis, the others a margin
+    of ceil(2 * max(scales)) on every side, and the input sits centred
+    (see the module docstring). Scales increase, so the padded shape
+    never shrinks along the sweep: one padded spectrum is held at a
+    time, and the forward FFT runs once per padded shape.
     """
 
     def __init__(self, phase, params: CwtParams):
@@ -249,7 +250,8 @@ class CwtSweep:
         self._field = f
         self._params = params
         self._wrap_pad = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
-        self._pad = self._spectrum = None
+        self._invalid = None if f.mask is None else ~f.mask
+        self._shape = self._spectrum = None
         self.scales = params.scales
         self._planes = map(self._plane, params.scales)
 
@@ -267,41 +269,44 @@ class CwtSweep:
         """The sweep itself; perfbench/spans.py counts len(sweep.planes)."""
         return self
 
-    def _grid(self, alpha: float) -> tuple[int, tuple[int, int]]:
-        """The pad before each axis and the padded shape for alpha.
+    def _grid(self, alpha: float) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The padded shape for alpha and the pad before each axis.
 
         A reach below the shared margin ceil(2 * max(scales)) implies
         HAT_REACH * alpha < 2 * max(scales); a reach that rounds up to
         the margin itself takes the shared grid, which is wide enough.
+        The input is centred, so the pads follow from the shape alone.
         """
         pad, (h, w) = self._wrap_pad, self._field.grid.shape
         reach = int(np.ceil(HAT_REACH * alpha))
-        if reach < pad:
-            return reach, (sfft.next_fast_len(h + 2 * reach, real=True),
-                           sfft.next_fast_len(w + 2 * reach, real=True))
-        return pad, (h + 2 * pad, w + 2 * pad)
+        shape = tuple(sfft.next_fast_len(n + 2 * reach, real=True) if reach < pad
+                      else n + 2 * pad for n in (h, w))
+        return shape, ((shape[0] - h) // 2, (shape[1] - w) // 2)
 
     def _plane(self, alpha: float) -> tuple[float, ScalarField, float]:
         f, params = self._field, self._params
-        (h, w), (pad, shape) = f.grid.shape, self._grid(alpha)
-        if pad != self._pad:
+        (h, w), (shape, (top, left)) = f.grid.shape, self._grid(alpha)
+        if shape != self._shape:
             self._spectrum = None  # drop the old one before making the next
-            self._spectrum = np.fft.rfft2(np.pad(
-                f.values, ((pad, shape[0] - h - pad), (pad, shape[1] - w - pad)),
+            self._spectrum = sfft.rfft2(np.pad(
+                f.values, ((top, shape[0] - h - top), (left, shape[1] - w - left)),
                 mode="edge"))
-            self._pad = pad
+            self._shape = shape
         out = _plane_values(self._spectrum, shape, alpha,
-                            slice(pad, pad + h), slice(pad, pad + w))
-        if f.mask is not None:
-            out = np.where(f.mask, out, 0.0)
+                            slice(top, top + h), slice(left, left + w))
+        if self._invalid is not None:
+            np.copyto(out, 0.0, where=self._invalid)
         # masked pixels hold 0, so the peak over valid pixels is the peak
-        # over all of them, and a normalized plane's peak is exactly 1
-        peak, divisor = float(np.abs(out).max()), 1.0
+        # over all of them; |v / p| is |v| / p exactly, so one magnitude
+        # array serves the peak and the threshold
+        magnitude = np.abs(out)
+        peak, divisor = float(magnitude.max()), 1.0
         if params.normalize and peak > 0.0:
             out /= peak
+            magnitude /= peak
             peak, divisor = 1.0, peak
         if params.threshold_fraction > 0.0:
-            _zero_below(out, params.threshold_fraction * peak)
+            _zero_below(out, magnitude, params.threshold_fraction * peak)
         return alpha, ScalarField(f.grid, out, f.mask), divisor
 
 

@@ -34,14 +34,15 @@ FGRID_VERSION = 1
 _HEADER_SCAN_LIMIT = 64
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write data to path via a same-directory temp file and rename."""
+def atomic_write_bytes(path: str | Path, *chunks) -> None:
+    """Write the chunks, bytes or C-contiguous arrays, to path in turn via
+    a same-directory temp file and rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
                                dir=path.parent or Path("."))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -58,13 +59,14 @@ def _le64(values: np.ndarray) -> np.ndarray:
 
 
 def write_field(path: str | Path, f: ScalarField) -> None:
-    """Serialize a field to FGRID, with the mask section iff one exists."""
+    """Serialize a field to FGRID, with the mask section iff one exists.
+    The arrays are written from their own buffers: a bool is a 0/1 byte."""
     has_mask = 1 if f.mask is not None else 0
     header = f"FGRID {FGRID_VERSION} {f.grid.width} {f.grid.height} {has_mask}\n"
-    parts = [header.encode("ascii"), _le64(f.values).tobytes()]
+    chunks = [header.encode("ascii"), _le64(f.values)]
     if has_mask:
-        parts.append(f.mask.astype(np.uint8).tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+        chunks.append(f.mask.view(np.uint8))
+    atomic_write_bytes(path, *chunks)
 
 
 def _parse_fgrid_header(data: bytes) -> tuple[GridSpec, bool, int]:

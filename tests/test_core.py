@@ -10,7 +10,6 @@ from fringescale import (
     GridSpec,
     PhaseMap,
     ScalarField,
-    apply_mask,
     field_from_array,
     masked_extrema,
     wrap_phase,
@@ -133,39 +132,6 @@ class TestScalarField:
         f = field_from_array(np.zeros((8, 8)))
         assert f.valid().all()
         assert f.n_valid == 64
-
-
-class TestApplyMask:
-    def test_zeroes_newly_invalid(self):
-        f = field_from_array(np.ones((8, 8)))
-        m = np.ones((8, 8), dtype=bool)
-        m[0, :] = False
-        out = apply_mask(f, m)
-        assert (out.values[0, :] == 0.0).all()
-        assert (out.values[1:, :] == 1.0).all()
-        assert out.n_valid == 56
-
-    def test_idempotent(self):
-        f = field_from_array(np.arange(64, dtype=float).reshape(8, 8))
-        m = np.arange(64).reshape(8, 8) % 3 == 0
-        once = apply_mask(f, m)
-        twice = apply_mask(once, m)
-        assert np.array_equal(once.values, twice.values)
-        assert np.array_equal(once.mask, twice.mask)
-
-    def test_masks_compose_by_and(self):
-        f = field_from_array(np.ones((8, 8)))
-        m1 = np.ones((8, 8), dtype=bool)
-        m1[0, :] = False
-        m2 = np.ones((8, 8), dtype=bool)
-        m2[:, 0] = False
-        out = apply_mask(apply_mask(f, m1), m2)
-        assert np.array_equal(out.mask, m1 & m2)
-
-    def test_shape_check(self):
-        f = field_from_array(np.ones((8, 8)))
-        with pytest.raises(GridMismatchError):
-            apply_mask(f, np.ones((8, 9), dtype=bool))
 
 
 class TestMaskedExtrema:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from fringescale import (
     AliasingWarning,
@@ -345,6 +346,61 @@ class TestSweepMatchesUniformPadOracle:
                 tracemalloc.stop()
 
         assert alloc_peak(cwt_sweep) <= alloc_peak(uniform_pad_sweep)
+
+
+class TestPaddedGrid:
+    # every padded plane takes its shape and pads from CwtSweep._grid
+    @pytest.mark.parametrize("shape", [(70, 53), (193, 250), (96, 96)])
+    @pytest.mark.parametrize("scales", [default_scale_grid(),
+                                        TestSweepMatchesUniformPadOracle.SCALES])
+    def test_pads_cover_the_hat_reach(self, shape, scales):
+        sweep = cwt_sweep(field_from_array(np.zeros(shape)), CwtParams(scales=scales))
+        wrap = math.ceil(2.0 * max(scales))
+        for alpha in scales:
+            padded, before = sweep._grid(alpha)
+            after = tuple(p - n - b for p, n, b in zip(padded, shape, before))
+            reach = math.ceil(HAT_REACH * alpha)
+            if HAT_REACH * alpha >= 2.0 * max(scales):
+                assert before == after == (wrap, wrap), alpha
+                continue
+            assert min(before + after) >= reach, alpha
+            # centred, so the pads follow from the padded shape alone
+            assert before == tuple((p - n) // 2 for p, n in zip(padded, shape)), alpha
+            if reach < wrap:
+                assert padded == tuple(sfft.next_fast_len(n + 2 * reach, real=True)
+                                       for n in shape), alpha
+
+    def test_one_forward_transform_per_padded_shape(self, rng, monkeypatch):
+        shapes = []
+        for module in (sfft, np.fft):
+            def counting(x, *args, _rfft2=module.rfft2, **kwargs):
+                shapes.append(np.shape(x))
+                return _rfft2(x, *args, **kwargs)
+            monkeypatch.setattr(module, "rfft2", counting)
+        scales = default_scale_grid()
+        sweep = cwt_sweep(field_from_array(rng.normal(size=(192, 192))),
+                          CwtParams(scales=scales))
+        distinct = {sweep._grid(a)[0] for a in scales}
+        assert len(list(sweep)) == 32
+        assert len(shapes) == len(distinct) == 17
+        assert set(shapes) == distinct
+
+    def test_shared_spectra_match_the_oracle(self, rng):
+        # at 64x64 the default scales put planes of reach 10 and 12, 14
+        # and 16, and 19 and 22 on one padded shape each; every plane must
+        # still match the plane on the shared 2 alpha_max grid
+        f = _masked_ramp(64, 64, rng)
+        params = CwtParams(scales=default_scale_grid(), normalize=False,
+                           threshold_fraction=0.0)
+        sweep = cwt_sweep(f, params)
+        reaches = {}
+        for a in params.scales:
+            if HAT_REACH * a < 2.0 * max(params.scales):
+                reaches.setdefault(sweep._grid(a)[0], set()).add(math.ceil(HAT_REACH * a))
+        assert max(map(len, reaches.values())) > 1
+        for (alpha, got, _), (_, want, _) in zip(sweep, uniform_pad_sweep(f, params)):
+            scale = np.abs(want.values).max()
+            assert np.abs(got.values - want.values).max() <= 1e-12 * scale, alpha
 
 
 def _normalized(vals, mask=None):

@@ -15,6 +15,7 @@ from fringescale import (
     write_field,
     write_ppm,
 )
+from fringescale.fieldio import atomic_write_text
 
 
 def fgrid_bytes(w, h, values, mask=None):
@@ -24,6 +25,17 @@ def fgrid_bytes(w, h, values, mask=None):
         out += struct.pack("<d", v)
     if mask is not None:
         out += bytes(int(b) for b in mask)
+    return out
+
+
+def copied_fgrid_bytes(f):
+    """The FGRID encoding built by copying: header + tobytes() of the
+    values + the mask cast to uint8."""
+    has_mask = f.mask is not None
+    out = f"FGRID 1 {f.grid.width} {f.grid.height} {int(has_mask)}\n".encode()
+    out += f.values.astype("<f8").tobytes()
+    if has_mask:
+        out += f.mask.astype(np.uint8).tobytes()
     return out
 
 
@@ -88,6 +100,25 @@ class TestFgridRoundTrip:
         write_field(p, field_from_array(arr))
         back = read_field(p)
         assert np.array_equal(arr.view(np.uint64), back.values.view(np.uint64))
+
+
+class TestFgridWriterBytes:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_matches_copied_encoding(self, tmp_path, rng, masked, strided):
+        # strided: the field is built from crop views strided on both axes
+        big = rng.normal(size=(64, 90))
+        big_mask = rng.random((64, 90)) > 0.3
+        big[~big_mask] = 0.0
+        crop = np.s_[5:57:2, 7:80:3] if strided else np.s_[5:31, 7:32]
+        assert big[crop].flags.c_contiguous is False
+        f = field_from_array(big[crop], big_mask[crop] if masked else None)
+        p = tmp_path / "a.fgrid"
+        write_field(p, f)
+        assert p.read_bytes() == copied_fgrid_bytes(f)
+        back = read_field(p)
+        assert np.array_equal(back.values, big[crop])
+        assert np.array_equal(back.valid(), big_mask[crop] if masked else f.valid())
 
 
 class TestFgridErrors:
@@ -253,12 +284,29 @@ class TestPpm:
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "o.ppm", np.zeros((8, 8), dtype=np.uint8))
 
+    def test_round_trip(self, tmp_path, rng):
+        rgb = rng.integers(0, 256, size=(9, 11, 3), dtype=np.uint8)
+        p = tmp_path / "r.ppm"
+        write_ppm(p, rgb[:, ::-1])  # a reversed view is written as shown
+        data = p.read_bytes()
+        header = b"P6\n11 9\n255\n"
+        assert data[:len(header)] == header
+        back = np.frombuffer(data, dtype=np.uint8, offset=len(header))
+        assert np.array_equal(back.reshape(9, 11, 3), rgb[:, ::-1])
+
 
 class TestAtomicity:
     def test_no_temp_left_behind(self, tmp_path):
         f = field_from_array(np.ones((8, 8)))
         write_field(tmp_path / "a.fgrid", f)
         assert sorted(q.name for q in tmp_path.iterdir()) == ["a.fgrid"]
+
+    def test_text_round_trip(self, tmp_path):
+        p = tmp_path / "t.txt"
+        text = "level,segment,x,y\n0.5,0,1.25,2.5\nα = 3\n"
+        atomic_write_text(p, text)
+        assert p.read_text(encoding="utf-8") == text
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["t.txt"]
 
     def test_overwrite_replaces(self, tmp_path):
         p = tmp_path / "a.fgrid"
