@@ -64,7 +64,6 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "phantom.rib_y0": ("int", 0),
     "phantom.rib_w": ("int", 0),
     "phantom.rib_h": ("int", 0),
-    "phantom.file": ("str", ""),
     "input.reference": ("str", ""),
     "input.deformed": ("str", ""),
     "carrier.fx": ("float", 0.125),
@@ -186,7 +185,6 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
                 rib_rect=(cfg["phantom.rib_x0"], cfg["phantom.rib_y0"],
                           cfg["phantom.rib_w"], cfg["phantom.rib_h"])
                 if kind == "rib_step" else None,
-                file_path=cfg["phantom.file"] or None,
             )
             if phantom.rib_rect is not None and not grid.fits(phantom.rib_rect):
                 raise ConfigError(f"rib_rect {phantom.rib_rect} does not fit "

@@ -14,7 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,10 +97,6 @@ class ScalarField:
             return np.ones(self.grid.shape, dtype=bool)
         return self.mask
 
-    @property
-    def n_valid(self) -> int:
-        return self.grid.npixels if self.mask is None else int(self.mask.sum())
-
 
 def field_from_array(values: np.ndarray,
                      mask: np.ndarray | None = None) -> ScalarField:
@@ -130,20 +126,18 @@ class CarrierSpec:
 class PhaseMap:
     """A phase field in radians, wrapped to (-pi, pi] or unwrapped.
 
-    meta is a free-form string-to-string label map used to echo run
-    parameters into outputs (window sigma, band, labels and so on).
+    It holds no run parameters: a run's config_echo.txt records every
+    one of them.
     """
 
     field: ScalarField
     wrapped: bool
-    meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.wrapped:
             v = self.field.values[self.field.valid()]
             if v.size and (v.min() <= -np.pi or v.max() > np.pi):
                 raise ValueError("wrapped phase values must lie in (-pi, pi]")
-        object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def grid(self) -> GridSpec:

@@ -56,10 +56,9 @@ The input sits centred, (L - n) // 2 pixels from the start of a length
 L, so planes of equal padded shape share one forward transform. A sweep
 makes its planes one scale at a time; scales increase, so equal shapes
 come in a row and memory holds one padded spectrum. Each plane is
-cropped, masked, optionally divided by its own peak and thresholded
-before the next one exists, never the whole stack. normalize_plane and
-threshold_plane are those two steps on their own; cwt_plane is the
-one-scale sweep with neither step.
+cropped and masked, then finish_plane optionally divides it by its own
+peak and thresholds it, before the next one exists, never the whole
+stack. cwt_plane is the one-scale sweep with neither step.
 
 Scales below 1 px leave psi_hat with significant energy beyond the
 Nyquist frequency and trigger AliasingWarning; scales <= 0 are refused.
@@ -183,38 +182,27 @@ def _plane_values(spectrum: np.ndarray, shape: tuple[int, int], alpha: float,
     return sfft.irfft(product, n=shape[1], axis=1)[:, cols]
 
 
-def _plane_peak(values: np.ndarray, valid: np.ndarray) -> float:
-    return float(np.abs(values[valid]).max()) if valid.any() else 0.0
+def finish_plane(values: np.ndarray, normalize: bool, fraction: float) -> float:
+    """Normalize and threshold one plane in place; returns the divisor.
 
-
-def normalize_plane(values: np.ndarray, valid: np.ndarray) -> float:
-    """Divide a plane in place by its peak magnitude over valid pixels.
-
-    Returns the divisor. An identically zero plane is left unchanged and
-    its divisor is 1.0, so a plane with any signal ends up with peak
-    magnitude exactly 1.
+    Masked pixels must already hold 0, so the peak magnitude over all
+    pixels is the peak over valid ones. normalize divides the plane by
+    that peak (divisor 1.0 when it is not normalized or is identically
+    zero), so a plane with any signal ends up with peak exactly 1.
+    Values whose magnitude is strictly below fraction * peak are then
+    zeroed, keeping the boundary value itself; fraction 0 zeroes none.
     """
-    m = _plane_peak(values, valid)
-    if m > 0.0:
-        values /= m
-        return m
-    return 1.0
-
-
-def threshold_plane(values: np.ndarray, valid: np.ndarray, fraction: float) -> None:
-    """Zero plane values in place whose magnitude is strictly below
-    fraction * max|v| over valid pixels, keeping the boundary value
-    itself. fraction 0 leaves the plane as it is.
-    """
-    if not (0.0 <= fraction < 1.0):
-        raise ValueError(f"threshold fraction must lie in [0, 1), got {fraction}")
-    if fraction == 0.0 or not valid.any():
-        return
-    _zero_below(values, np.abs(values), fraction * _plane_peak(values, valid))
-
-
-def _zero_below(values: np.ndarray, magnitude: np.ndarray, cut: float) -> None:
-    np.copyto(values, 0.0, where=magnitude < cut)
+    # |v / p| is |v| / p exactly, so one magnitude array serves the peak
+    # and the threshold
+    magnitude = np.abs(values)
+    peak, divisor = float(magnitude.max()), 1.0
+    if normalize and peak > 0.0:
+        values /= peak
+        magnitude /= peak
+        peak, divisor = 1.0, peak
+    if fraction > 0.0:
+        np.copyto(values, 0.0, where=magnitude < fraction * peak)
+    return divisor
 
 
 class CwtSweep:
@@ -223,9 +211,10 @@ class CwtSweep:
     Construction checks the input (AllMaskedError, AliasingWarning;
     CwtParams has already refused bad scales). Each step of the iteration
     then yields (alpha, plane, divisor) for the next scale: the plane is
-    cropped, masked, normalized and thresholded as params say, and
-    divisor is the peak it was divided by (1.0 when it was not
-    normalized). No plane is kept once it has been handed out.
+    cropped and masked, then finish_plane normalizes and thresholds it
+    as params say, and divisor is the peak it was divided by (1.0 when
+    it was not normalized). No plane is kept once it has been handed
+    out.
 
     With padding on, a plane whose hat reach HAT_REACH * alpha is
     shorter than 2 * max(scales) gets the 5-smooth length at or above
@@ -296,17 +285,7 @@ class CwtSweep:
                             slice(top, top + h), slice(left, left + w))
         if self._invalid is not None:
             np.copyto(out, 0.0, where=self._invalid)
-        # masked pixels hold 0, so the peak over valid pixels is the peak
-        # over all of them; |v / p| is |v| / p exactly, so one magnitude
-        # array serves the peak and the threshold
-        magnitude = np.abs(out)
-        peak, divisor = float(magnitude.max()), 1.0
-        if params.normalize and peak > 0.0:
-            out /= peak
-            magnitude /= peak
-            peak, divisor = 1.0, peak
-        if params.threshold_fraction > 0.0:
-            _zero_below(out, magnitude, params.threshold_fraction * peak)
+        divisor = finish_plane(out, params.normalize, params.threshold_fraction)
         return alpha, ScalarField(f.grid, out, f.mask), divisor
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .core import CarrierSpec, GridSpec, PhaseMap, ScalarField, TWO_PI
 from .errors import BadSpecError
 
-PHANTOM_KINDS = ("constant", "gaussian_plume", "rib_step", "ramp", "from_file")
+PHANTOM_KINDS = ("constant", "gaussian_plume", "rib_step", "ramp")
 
 RNG_NAME = "philox4x64"
 
@@ -39,7 +39,6 @@ class PhantomSpec:
       with center (cx, cy) defaulting to the grid center
     * rib_step: gaussian_plume with rib_rect (x0, y0, w, h) zeroed and
       masked out, producing a sharp step at the rectangle boundary
-    * from_file: phase loaded verbatim from a raster at file_path
     """
 
     kind: str
@@ -47,7 +46,6 @@ class PhantomSpec:
     center: tuple[float, float] | None = None
     widths: tuple[float, float] | None = None
     rib_rect: tuple[int, int, int, int] | None = None
-    file_path: str | None = None
 
     def __post_init__(self):
         if self.kind not in PHANTOM_KINDS:
@@ -57,8 +55,6 @@ class PhantomSpec:
             raise BadSpecError("phantom peak must be finite")
         if self.widths is not None and any(w <= 0 for w in self.widths):
             raise BadSpecError(f"phantom widths must be positive, got {self.widths}")
-        if self.kind == "from_file" and not self.file_path:
-            raise BadSpecError("from_file phantom needs file_path")
 
 
 @dataclass(frozen=True)
@@ -80,11 +76,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class FringePair:
-    """Reference and deformed fringe images sharing one grid and carrier."""
+    """Reference and deformed fringe images sharing one grid."""
 
     reference: ScalarField
     deformed: ScalarField
-    carrier: CarrierSpec
 
     def __post_init__(self):
         if self.reference.grid != self.deformed.grid:
@@ -125,19 +120,9 @@ def make_phase(grid: GridSpec, spec: PhantomSpec) -> PhaseMap:
         mask = np.ones(grid.shape, dtype=bool)
         mask[y0:y0 + h, x0:x0 + w] = False
         values[~mask] = 0.0
-    elif spec.kind == "from_file":
-        from .fieldio import read_image
-        f = read_image(spec.file_path)
-        if f.grid != grid:
-            raise BadSpecError(
-                f"phantom file grid {f.grid.width}x{f.grid.height} does not "
-                f"match requested {grid.width}x{grid.height}")
-        return PhaseMap(f, wrapped=False, meta={"phantom": "from_file",
-                                                "source": str(spec.file_path)})
     else:  # pragma: no cover - PhantomSpec already validates kind
         raise BadSpecError(f"unknown phantom kind {spec.kind!r}")
-    return PhaseMap(ScalarField(grid, values, mask), wrapped=False,
-                    meta={"phantom": spec.kind})
+    return PhaseMap(ScalarField(grid, values, mask), wrapped=False)
 
 
 def make_fringes(phase: PhaseMap, carrier: CarrierSpec,
@@ -168,4 +153,4 @@ def make_fringes(phase: PhaseMap, carrier: CarrierSpec,
     else:
         reference = ScalarField(grid, ref)
         deformed = ScalarField(grid, dfm)
-    return FringePair(reference, deformed, carrier)
+    return FringePair(reference, deformed)

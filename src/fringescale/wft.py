@@ -56,7 +56,6 @@ from .errors import (BadFrequencyError, BadSpecError, EmptyBandError,
                      GridMismatchError, NoValidSeedError, NumericError)
 
 WINDOW_TRUNCATION_SIGMAS = 4
-INTERIOR_MARGIN_SIGMAS = 3
 
 
 @dataclass(frozen=True)
@@ -184,17 +183,8 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
     valid = img.valid()
     phase_vals = np.where(
         valid, wrap_phase(np.angle(best_resp.astype(np.complex128))), 0.0)
-    meta = {
-        "window_sigma": repr(params.window_sigma),
-        "band_x": f"{params.band_x[0]!r},{params.band_x[1]!r}",
-        "band_y": f"{params.band_y[0]!r},{params.band_y[1]!r}",
-        "step": repr(params.step),
-        "interior_margin_px": str(int(np.ceil(
-            INTERIOR_MARGIN_SIGMAS * params.window_sigma))),
-    }
     return RidgeResult(
-        phase=PhaseMap(ScalarField(img.grid, phase_vals, img.mask),
-                       wrapped=True, meta=meta),
+        phase=PhaseMap(ScalarField(img.grid, phase_vals, img.mask), wrapped=True),
         freq_x=ScalarField(img.grid, us[best_u]),
         freq_y=ScalarField(img.grid, vs[best_v]),
         ridge_amplitude=ScalarField(img.grid,
@@ -220,9 +210,7 @@ def relative_phase(deformed, reference) -> PhaseMap:
     valid = d.field.valid() & r.field.valid()
     diff = np.where(valid, wrap_phase(d.field.values - r.field.values), 0.0)
     mask = None if (d.field.mask is None and r.field.mask is None) else valid
-    meta = dict(r.meta)
-    meta.update(d.meta)
-    return PhaseMap(ScalarField(d.grid, diff, mask), wrapped=True, meta=meta)
+    return PhaseMap(ScalarField(d.grid, diff, mask), wrapped=True)
 
 
 _NONE = np.iinfo(np.intp).max
@@ -331,8 +319,7 @@ def unwrap(p: PhaseMap, quality: ScalarField | np.ndarray | None = None) -> Phas
             raise NumericError("unwrap quality is not finite at a valid pixel")
     vals = p.field.values
     out = vals + TWO_PI * _forest_turns(vals, q, valid).astype(np.float64)
-    return PhaseMap(ScalarField(p.grid, out, p.field.mask), wrapped=False,
-                    meta=dict(p.meta))
+    return PhaseMap(ScalarField(p.grid, out, p.field.mask), wrapped=False)
 
 
 def anchor_far_field(p: PhaseMap, rect: tuple[int, int, int, int]) -> PhaseMap:
@@ -358,5 +345,4 @@ def anchor_far_field(p: PhaseMap, rect: tuple[int, int, int, int]) -> PhaseMap:
         return p
     valid = p.field.valid()
     out = np.where(valid, p.field.values - TWO_PI * k, p.field.values)
-    return PhaseMap(ScalarField(p.grid, out, p.field.mask), wrapped=False,
-                    meta=dict(p.meta))
+    return PhaseMap(ScalarField(p.grid, out, p.field.mask), wrapped=False)

@@ -8,7 +8,8 @@ windowed-Fourier ridge scan before it moved to single precision and a
 shorter padding (a double-precision scan padded by the full window width
 on both sides), and the wavelet sweep before each plane got a pad sized
 to its own hat reach (every plane on one grid edge-padded by
-2 * max(scales), inverted by irfft2).
+2 * max(scales), inverted by irfft2, then normalized and thresholded
+over its valid pixels by normalize_plane and threshold_plane).
 """
 
 import heapq
@@ -21,10 +22,9 @@ from scipy import fft as sfft
 from fringescale import (AllMaskedError, PhaseMap, RidgeResult, ScalarField,
                          masked_extrema, mexican_hat, wrap_phase)
 from fringescale.contours import contour_levels, marching_squares
-from fringescale.cwt import HAT_REACH, normalize_plane, threshold_plane
+from fringescale.cwt import HAT_REACH
 from fringescale.core import TWO_PI
-from fringescale.wft import (INTERIOR_MARGIN_SIGMAS, WINDOW_TRUNCATION_SIGMAS,
-                             frequency_grid)
+from fringescale.wft import WINDOW_TRUNCATION_SIGMAS, frequency_grid
 
 
 def periodized_kernel(n_rows, n_cols, alpha, copies=None):
@@ -314,17 +314,8 @@ def float64_demodulate(img, params):
     best_u, best_v = np.divmod(best_idx, len(vs))
     valid = img.valid()
     phase_vals = np.where(valid, wrap_phase(np.angle(best_resp)), 0.0)
-    meta = {
-        "window_sigma": repr(params.window_sigma),
-        "band_x": f"{params.band_x[0]!r},{params.band_x[1]!r}",
-        "band_y": f"{params.band_y[0]!r},{params.band_y[1]!r}",
-        "step": repr(params.step),
-        "interior_margin_px": str(int(np.ceil(
-            INTERIOR_MARGIN_SIGMAS * params.window_sigma))),
-    }
     return RidgeResult(
-        phase=PhaseMap(ScalarField(img.grid, phase_vals, img.mask),
-                       wrapped=True, meta=meta),
+        phase=PhaseMap(ScalarField(img.grid, phase_vals, img.mask), wrapped=True),
         freq_x=ScalarField(img.grid, us[best_u]),
         freq_y=ScalarField(img.grid, vs[best_v]),
         ridge_amplitude=ScalarField(img.grid, np.sqrt(best_mag2)),
@@ -342,6 +333,37 @@ def _hat_axis_dfts(n, alpha, half):
     g, h = g.sum(axis=0), (t * t * g).sum(axis=0)
     fft = np.fft.rfft if half else np.fft.fft
     return fft(g).real, fft(h).real
+
+
+def _plane_peak(values, valid):
+    return float(np.abs(values[valid]).max()) if valid.any() else 0.0
+
+
+def normalize_plane(values, valid):
+    """Divide a plane in place by its peak magnitude over valid pixels.
+
+    Returns the divisor. An identically zero plane is left unchanged and
+    its divisor is 1.0, so a plane with any signal ends up with peak
+    magnitude exactly 1.
+    """
+    m = _plane_peak(values, valid)
+    if m > 0.0:
+        values /= m
+        return m
+    return 1.0
+
+
+def threshold_plane(values, valid, fraction):
+    """Zero plane values in place whose magnitude is strictly below
+    fraction * max|v| over valid pixels, keeping the boundary value
+    itself. fraction 0 leaves the plane as it is.
+    """
+    if not (0.0 <= fraction < 1.0):
+        raise ValueError(f"threshold fraction must lie in [0, 1), got {fraction}")
+    if fraction == 0.0 or not valid.any():
+        return
+    cut = fraction * _plane_peak(values, valid)
+    np.copyto(values, 0.0, where=np.abs(values) < cut)
 
 
 def uniform_pad_sweep(field, params):

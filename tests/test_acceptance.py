@@ -46,7 +46,6 @@ from fringescale import (
     write_field,
 )
 from fringescale import cli
-from fringescale.cwt import normalize_plane, threshold_plane
 from oracles import brute_cwt_plane
 
 
@@ -249,43 +248,34 @@ def test_multi_scale_localization():
 
 
 def test_normalization_and_threshold_contracts():
-    """After normalization every non-zero plane peaks at exactly 1;
-    after a 1% threshold no surviving value is below 0.01; an all-zero
-    plane passes through both stages untouched."""
+    """The sweep's own planes, normalized and cut at 1%: every non-zero
+    plane peaks at exactly 1 and no surviving value is below 0.01; an
+    all-zero field gives all-zero planes with divisor 1.0."""
     grid = GridSpec(64, 64)
     truth = make_phase(grid, PhantomSpec(kind="rib_step", peak=4.0,
                                          widths=(12.0, 12.0),
                                          rib_rect=(24, 40, 16, 12)))
-    raw = cwt_sweep(truth, CwtParams(scales=(2.0, 5.0, 10.0),
-                                     threshold_fraction=0.0,
-                                     normalize=False))
-    zero = ScalarField(grid, np.zeros(grid.shape))
-    planes = [(p.values.copy(), p.valid()) for _, p, _ in raw]
-    planes.append((zero.values.copy(), zero.valid()))
-
-    for values, valid in planes:
-        normalize_plane(values, valid)
+    params = CwtParams(scales=(2.0, 5.0, 10.0), threshold_fraction=0.01,
+                       normalize=True)
     peaks = []
-    for values, valid in planes[:-1]:
-        m = float(np.abs(values[valid]).max())
-        peaks.append(m)
-    ok = all(abs(m - 1.0) <= 1e-12 for m in peaks)
-    ok &= not planes[-1][0].any()
-
-    for values, valid in planes:
-        threshold_plane(values, valid, 0.01)
     floor = 1.0
-    for values, valid in planes[:-1]:
-        v = np.abs(values[valid])
-        nz = v[v > 0.0]
-        floor = min(floor, float(nz.min()))
+    for _, plane, _ in cwt_sweep(truth, params):
+        v = np.abs(plane.values[plane.valid()])
+        peaks.append(float(v.max()))
+        floor = min(floor, float(v[v > 0.0].min()))
+    ok = all(abs(m - 1.0) <= 1e-12 for m in peaks)
     ok &= floor >= 0.01
-    ok &= not planes[-1][0].any()
+
+    zero = ScalarField(grid, np.zeros(grid.shape))
+    zero_ok = all(not plane.values.any() and divisor == 1.0
+                  for _, plane, divisor in cwt_sweep(zero, params))
+    ok &= zero_ok
 
     line = report(
         "normalization/threshold", ok,
         f"peaks {', '.join(f'{m:.15f}' for m in peaks)}; "
-        f"surviving floor {floor:.4f} (>= 0.01); zero plane untouched")
+        f"surviving floor {floor:.4f} (>= 0.01); "
+        f"zero field: zero planes, divisor 1.0: {zero_ok}")
     assert ok, line
 
 
@@ -344,8 +334,8 @@ def test_determinism_and_raster_round_trip(tmp_path):
 
 def test_degenerate_inputs():
     """Constant phase yields zero planes, fully masked input raises,
-    a zero threshold fraction is the identity, and out-of-range scales
-    are refused or warned about."""
+    a sweep with a zero threshold fraction keeps the transform itself,
+    and out-of-range scales are refused or warned about."""
     grid = GridSpec(32, 32)
     const = field_from_array(np.full(grid.shape, 1.3))
     worst = max(float(np.abs(cwt_plane(const, a, pad=True).values).max())
@@ -365,12 +355,12 @@ def test_degenerate_inputs():
                                                  np.arange(32.0) * 0.7)))
     stack = cwt_sweep(bumpy, CwtParams(scales=(2.0, 4.0),
                                        threshold_fraction=0.0,
-                                       normalize=False))
+                                       normalize=False, pad=False))
     identity = True
-    for _, plane, _ in stack:
-        same = plane.values.copy()
-        threshold_plane(same, plane.valid(), 0.0)
-        identity &= np.array_equal(plane.values, same)
+    for alpha, plane, _ in stack:
+        # the smallest |W| is under 1e-3 of the peak, so a 1% cut would show
+        want = brute_cwt_plane(bumpy.values, alpha)
+        identity &= np.abs(plane.values - want).max() <= 1e-12 * np.abs(want).max()
     ok &= identity
 
     rejected = 0

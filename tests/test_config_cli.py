@@ -221,11 +221,19 @@ class TestCliSynth:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("item", ["cwt.scale_count=32",
-                                      "cwt.threshold_mode=small"])
+                                      "cwt.threshold_mode=small",
+                                      "phantom.file=x.fgrid"])
     def test_removed_keys_exit_2(self, tmp_path, capsys, item):
         out = tmp_path / "o"
         assert main(["synth", "--out", str(out), "--set", item]) == 2
         assert "unknown config key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_phantom_kind_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["synth", "--out", str(out),
+                     "--set", "phantom.kind=from_file"]) == 2
+        assert "unknown phantom kind" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_file_exits_2(self, tmp_path):

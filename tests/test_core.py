@@ -126,12 +126,12 @@ class TestScalarField:
         m[2, 2] = False
         a[2, 2] = 0.0
         f = field_from_array(a, m)
-        assert f.n_valid == 63
+        assert int(f.valid().sum()) == 63
 
     def test_valid_without_mask(self):
         f = field_from_array(np.zeros((8, 8)))
         assert f.valid().all()
-        assert f.n_valid == 64
+        assert int(f.valid().sum()) == 64
 
 
 class TestMaskedExtrema:

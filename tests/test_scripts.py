@@ -1,0 +1,46 @@
+"""Smoke tests for the runnable demos under scripts/.
+
+Each script runs in a fresh interpreter, as a user runs it, at a small
+size, and must exit 0 and write its files.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_rib_plume_demo(tmp_path):
+    out = tmp_path / "rib_demo"
+    proc = run_script("rib_plume_demo.py", "--size", "128", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "phase RMS error" in proc.stdout
+    for name in ("reference.fgrid", "deformed.fgrid", "phase_true.fgrid",
+                 "phase.fgrid", "phase.ppm", "phase_contours.csv",
+                 "fringes_deformed.ppm", "manifest.txt", "config_echo.txt"):
+        assert (out / name).is_file(), name
+    assert len(list(out.glob("plane_*_alpha*.fgrid"))) == 4
+    assert len(list(out.glob("plane_*_alpha*_contours.csv"))) == 4
+
+
+def test_scale_response_curve(tmp_path):
+    out = tmp_path / "scale_curve"
+    proc = run_script("scale_response_curve.py", "--size", "64", "--points", "5",
+                      "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    curves = sorted(out.glob("curve_f*.csv"))
+    assert len(curves) == 3
+    for path in curves:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "alpha,response"
+        assert len(lines) == 6

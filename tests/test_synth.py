@@ -87,8 +87,9 @@ class TestPhantoms:
             make_phase(GRID, PhantomSpec(kind="gaussian_plume", peak=1.0))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(BadSpecError):
-            PhantomSpec(kind="weird")
+        for kind in ("weird", "from_file"):
+            with pytest.raises(BadSpecError):
+                PhantomSpec(kind=kind)
 
     def test_negative_width_rejected(self):
         with pytest.raises(BadSpecError):

@@ -178,12 +178,6 @@ class TestDemodulate:
         assert (rr.phase.field.values[:4] == 0.0).all()
         assert np.array_equal(rr.phase.field.mask, mask)
 
-    def test_meta_echoes_params(self):
-        f = field_from_array(np.zeros((32, 32)))
-        rr = demodulate(f, SMALL_PARAMS)
-        assert rr.phase.meta["window_sigma"] == repr(5.0)
-        assert rr.phase.meta["interior_margin_px"] == "15"
-
 
 def rib_step_pair(n, noise):
     """The README quick-start rib step, scaled to an n x n grid."""
