@@ -91,6 +91,20 @@ class ScalarField:
                 raise ValueError("masked-out pixels must hold the value 0")
             object.__setattr__(self, "mask", m)
 
+    @classmethod
+    def _adopt(cls, grid: GridSpec, values: np.ndarray,
+               mask: np.ndarray | None) -> "ScalarField":
+        """Wrap values without a copy or a check, for a stage that has
+        just made them: a C-contiguous float64 array of grid's shape that
+        nothing else holds, finite, and 0 wherever mask (a read-only
+        array or None) is False. values is made read-only here."""
+        values.setflags(write=False)
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", values)
+        object.__setattr__(field, "mask", mask)
+        return field
+
     def valid(self) -> np.ndarray:
         """Boolean validity array (all True when there is no mask)."""
         if self.mask is None:

@@ -239,7 +239,7 @@ class CwtSweep:
         self._field = f
         self._params = params
         self._wrap_pad = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
-        self._invalid = None if f.mask is None else ~f.mask
+        self._valid = f.valid()
         self._shape = self._spectrum = None
         self.scales = params.scales
         self._planes = map(self._plane, params.scales)
@@ -281,12 +281,13 @@ class CwtSweep:
                 f.values, ((top, shape[0] - h - top), (left, shape[1] - w - left)),
                 mode="edge"))
             self._shape = shape
-        out = _plane_values(self._spectrum, shape, alpha,
-                            slice(top, top + h), slice(left, left + w))
-        if self._invalid is not None:
-            np.copyto(out, 0.0, where=self._invalid)
+        # masking copies the cropped view into a fresh C-contiguous plane,
+        # finite and 0 at masked pixels, so the field adopts it as it is
+        out = np.where(self._valid, _plane_values(
+            self._spectrum, shape, alpha, slice(top, top + h),
+            slice(left, left + w)), 0.0)
         divisor = finish_plane(out, params.normalize, params.threshold_fraction)
-        return alpha, ScalarField(f.grid, out, f.mask), divisor
+        return alpha, ScalarField._adopt(f.grid, out, f.mask), divisor
 
 
 def cwt_sweep(phase, params: CwtParams, /) -> CwtSweep:

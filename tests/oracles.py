@@ -3,13 +3,15 @@
 Everything here is deliberately slow and literal: direct spatial sums
 with no FFTs, a pixel-by-pixel flood-fill unwrap and a cell-by-cell
 marching squares, so agreement with the production code is meaningful.
-Two FFT references keep earlier production code as it ran: the
+Three FFT references keep earlier production code as it ran: the
 windowed-Fourier ridge scan before it moved to single precision and a
 shorter padding (a double-precision scan padded by the full window width
-on both sides), and the wavelet sweep before each plane got a pad sized
-to its own hat reach (every plane on one grid edge-padded by
-2 * max(scales), inverted by irfft2, then normalized and thresholded
-over its valid pixels by normalize_plane and threshold_plane).
+on both sides), the single-precision scan before its u grid was split
+across threads (one loop over u, then v, in the calling thread), and the
+wavelet sweep before each plane got a pad sized to its own hat reach
+(every plane on one grid edge-padded by 2 * max(scales), inverted by
+irfft2, then normalized and thresholded over its valid pixels by
+normalize_plane and threshold_plane).
 """
 
 import heapq
@@ -319,6 +321,52 @@ def float64_demodulate(img, params):
         freq_x=ScalarField(img.grid, us[best_u]),
         freq_y=ScalarField(img.grid, vs[best_v]),
         ridge_amplitude=ScalarField(img.grid, np.sqrt(best_mag2)),
+    )
+
+
+def _single_kernel_ffts(t, w, freqs, n):
+    """FFTs of the complex window tap vectors, one row per frequency, laid
+    out circularly in n bins; built in float64, then cast to complex64."""
+    buf = np.zeros((len(freqs), n), dtype=np.complex128)
+    buf[:, t.astype(int) % n] = w * np.exp(2j * np.pi * np.outer(freqs, t))
+    return sfft.fft(buf, axis=1).astype(np.complex64)
+
+
+def sequential_demodulate(img, params):
+    """The single-precision ridge scan in one thread: ascending u, then v,
+    strict improvement; wft.demodulate splits the u grid across threads
+    and must equal it bit for bit."""
+    us = frequency_grid(params.band_x, params.step)
+    vs = frequency_grid(params.band_y, params.step)
+    h, w = shape = img.grid.shape
+    t, taps = _window_taps(params.window_sigma)
+    r = len(t) // 2
+    nx, ny = (sfft.next_fast_len(max(n + r, 2 * r + 1)) for n in (w, h))
+    row_fft = sfft.fft(img.values, n=nx, axis=1).astype(np.complex64)
+    col_kernels = _single_kernel_ffts(t, taps, vs, ny)[:, :, None]
+    best_mag2 = np.full(shape, -1.0, dtype=np.float32)
+    best_resp = np.zeros(shape, dtype=np.complex64)
+    best_idx = np.zeros(shape, dtype=np.int32)  # flat (u, v) grid index
+    for i, gx in enumerate(_single_kernel_ffts(t, taps, us, nx)):
+        rows = sfft.ifft(row_fft * gx, axis=1)[:, :w]
+        col_fft = sfft.fft(rows, n=ny, axis=0)
+        for j, gy in enumerate(col_kernels):
+            resp = sfft.ifft(col_fft * gy, axis=0, overwrite_x=True)[:h]
+            mag2 = np.square(resp.real) + np.square(resp.imag)
+            better = mag2 > best_mag2
+            np.copyto(best_mag2, mag2, where=better)
+            np.copyto(best_resp, resp, where=better)
+            np.copyto(best_idx, i * len(vs) + j, where=better)
+    best_u, best_v = np.divmod(best_idx, len(vs))
+    valid = img.valid()
+    phase_vals = np.where(
+        valid, wrap_phase(np.angle(best_resp.astype(np.complex128))), 0.0)
+    return RidgeResult(
+        phase=PhaseMap(ScalarField(img.grid, phase_vals, img.mask), wrapped=True),
+        freq_x=ScalarField(img.grid, us[best_u]),
+        freq_y=ScalarField(img.grid, vs[best_v]),
+        ridge_amplitude=ScalarField(img.grid,
+                                    np.sqrt(best_mag2.astype(np.float64))),
     )
 
 

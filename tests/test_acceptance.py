@@ -279,7 +279,7 @@ def test_normalization_and_threshold_contracts():
     assert ok, line
 
 
-def test_determinism_and_raster_round_trip(tmp_path):
+def test_determinism_and_raster_round_trip(tmp_path, scan_workers):
     """Same config and seed twice gives byte-identical FGRID outputs;
     the format round-trips signed zeros, denormals, and the extreme
     finite exponents bit-exactly."""

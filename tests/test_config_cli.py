@@ -390,7 +390,7 @@ class TestCliPipeline:
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert manifest[0] == "planes 32"
 
-    def test_deterministic_outputs(self, tmp_path):
+    def test_deterministic_outputs(self, tmp_path, scan_workers):
         a, b = tmp_path / "a", tmp_path / "b"
         noisy = FAST + ["--set", "noise.sigma=0.05", "--set", "noise.seed=42"]
         assert main(["pipeline", "--out", str(a)] + noisy) == 0

@@ -152,9 +152,14 @@ class TestCwtPlane:
         mask = np.ones((16, 16), dtype=bool)
         mask[4:8, 4:8] = False
         vals[4:8, 4:8] = 0.0
-        plane = cwt_plane(field_from_array(vals, mask), 2.0)
-        assert (plane.values[4:8, 4:8] == 0.0).all()
-        assert np.array_equal(plane.mask, mask)
+        f = field_from_array(vals, mask)
+        for plane in (cwt_plane(f, 2.0), cwt_plane(f, 2.0, pad=True)):
+            assert (plane.values[4:8, 4:8] == 0.0).all()
+            assert np.array_equal(plane.mask, mask)
+            # the sweep hands its plane over without the field's own copy
+            assert plane.values.dtype == np.float64
+            assert plane.values.flags.c_contiguous
+            assert not plane.values.flags.writeable
 
 
 class TestScaleGrid:

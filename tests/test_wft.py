@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,10 +27,12 @@ from fringescale import (
     unwrap,
     wrap_phase,
 )
+from fringescale import wft
 from fringescale.core import TWO_PI
 from fringescale.synth import NoiseSpec
 from fringescale.wft import frequency_grid
-from oracles import float64_demodulate, flood_fill_unwrap, windowed_response
+from oracles import (float64_demodulate, flood_fill_unwrap, sequential_demodulate,
+                     windowed_response)
 
 
 def brute_response(img, u, v, sigma, x1, y1):
@@ -162,6 +165,11 @@ class TestDemodulate:
         assert (rr.freq_y.values == -0.05).all()
         assert (rr.ridge_amplitude.values == 0.0).all()
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_zero_image_tiebreak_across_threads(self, scan_workers, workers):
+        scan_workers(workers)
+        self.test_zero_image_tiebreak_smallest_uv()
+
     def test_band_touching_nyquist_rejected(self):
         f = field_from_array(np.zeros((32, 32)))
         params = DemodParams(band_x=(0.4, 0.49999), band_y=(-0.1, 0.1),
@@ -246,6 +254,75 @@ class TestDemodulateMatchesOracle:
         pair = make_fringes(truth, CarrierSpec(fx=0.125),
                             NoiseSpec(sigma=0.05, seed=7))
         self.compare(pair.deformed, DemodParams.for_carrier(0.125))
+
+
+class TestThreadedScanMatchesSequential:
+    """The scan split across threads against the same scan in one loop
+    (tests/oracles.py), bit for bit, at forced worker counts: one chunk,
+    two and three chunks, and one chunk per u (len(us) + 1 CPUs, more
+    threads than cores), with the interpreter switching threads often."""
+
+    @staticmethod
+    def assert_identical(img, params, scan_workers, workers):
+        n_u = len(frequency_grid(params.band_x, params.step))
+        scan_workers(n_u + 1 if workers is None else workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = demodulate(img, params)
+        finally:
+            sys.setswitchinterval(interval)
+        want = sequential_demodulate(img, params)
+        for g, w in ((got.phase.field, want.phase.field), (got.freq_x, want.freq_x),
+                     (got.freq_y, want.freq_y),
+                     (got.ridge_amplitude, want.ridge_amplitude)):
+            assert g.values.tobytes() == w.values.tobytes()
+        assert np.array_equal(got.phase.field.valid(), want.phase.field.valid())
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, None])
+    def test_rib_step(self, scan_workers, workers):
+        _, pair = rib_step_pair(96, 0.1)
+        self.assert_identical(pair.deformed, DemodParams.for_carrier(0.125),
+                              scan_workers, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, None])
+    def test_grid_narrower_than_the_window(self, scan_workers, workers):
+        truth = make_phase(GridSpec(30, 50), PhantomSpec(
+            kind="gaussian_plume", peak=2.0, widths=(20.0, 20.0)))
+        pair = make_fringes(truth, CarrierSpec(fx=0.125),
+                            NoiseSpec(sigma=0.05, seed=7))
+        self.assert_identical(pair.deformed, DemodParams.for_carrier(0.125),
+                              scan_workers, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, None])
+    def test_chunks_partition_the_u_grid(self, scan_workers, monkeypatch, workers):
+        # a u scanned by two chunks leaves every winner as it is, only
+        # slower, so the identity tests cannot see it
+        n_u = len(frequency_grid(SMALL_PARAMS.band_x, SMALL_PARAMS.step))
+        scan_workers(n_u + 1 if workers is None else workers)
+        scanned, scan = [], wft._ChunkScan.scan
+
+        def record(chunk, row_fft, row_kernels, col_kernels, first):
+            scanned.append(range(first, first + len(row_kernels)))
+            scan(chunk, row_fft, row_kernels, col_kernels, first)
+
+        monkeypatch.setattr(wft._ChunkScan, "scan", record)
+        demodulate(field_from_array(np.zeros((16, 16))), SMALL_PARAMS)
+        assert len(scanned) == min(n_u, workers or n_u)
+        assert [u for r in sorted(scanned, key=lambda r: r.start) for u in r] \
+            == list(range(n_u))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_one_u_band(self, scan_workers, workers):
+        # DemodParams holds at least two u per band (step <= band width);
+        # narrowing band_x past its check leaves one u, so k = 1 whatever
+        # the CPU count
+        params = DemodParams(band_x=(0.1, 0.15), band_y=(-0.05, 0.05),
+                             step=0.0125, window_sigma=5.0)
+        object.__setattr__(params, "band_x", (0.1, 0.105))
+        assert len(frequency_grid(params.band_x, params.step)) == 1
+        _, pair = rib_step_pair(64, 0.05)
+        self.assert_identical(pair.deformed, params, scan_workers, workers)
 
 
 class TestRelativePhase:
