@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .fieldio import atomic_write_text, read_image, write_field
-from .render import RenderStyle, write_render
+from .render import write_contour_csv, write_heatmap
 from .synth import make_fringes, make_phase
 from .wft import anchor_far_field, demodulate, relative_phase, unwrap
 
@@ -138,26 +138,26 @@ def cmd_demod(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _plane_name(index: int, alpha: float) -> str:
-    return f"plane_{index:03d}_alpha{alpha:g}.fgrid"
+def _render(out: Path, stem: str, field: ScalarField, levels: int) -> None:
+    """Write stem.ppm (with its sidecar) and stem_contours.csv under out."""
+    write_heatmap(out / f"{stem}.ppm", field)
+    write_contour_csv(out / f"{stem}_contours.csv", field, levels)
 
 
 def _write_planes(out: Path, rc: cfgmod.ResolvedConfig, sweep: CwtSweep,
-                  keep: frozenset[int] = frozenset()) -> dict[int, ScalarField]:
-    """Write each plane as the sweep makes it, then the manifest; return
-    the planes whose index is in keep and drop the others."""
-    kept = {}
+                  shown: frozenset[int] = frozenset()) -> None:
+    """Write each plane as the sweep makes it, rendering those whose index
+    is in shown, then the manifest."""
     lines = [f"planes {len(sweep)}",
              f"normalized {'true' if rc.cwt.normalize else 'false'}",
              f"thresholded {'true' if rc.cwt.threshold_fraction > 0.0 else 'false'}"]
     for i, (alpha, plane, divisor) in enumerate(sweep):
-        name = _plane_name(i, alpha)
-        write_field(out / name, plane)
-        lines.append(f"{i} {alpha:.17g} {name} {divisor:.17g}")
-        if i in keep:
-            kept[i] = plane
+        stem = f"plane_{i:03d}_alpha{alpha:g}"
+        write_field(out / f"{stem}.fgrid", plane)
+        lines.append(f"{i} {alpha:.17g} {stem}.fgrid {divisor:.17g}")
+        if i in shown:
+            _render(out, stem, plane, rc.contour_levels)
     atomic_write_text(out / "manifest.txt", "\n".join(lines) + "\n")
-    return kept
 
 
 def cmd_cwt(args: argparse.Namespace) -> int:
@@ -172,26 +172,22 @@ def cmd_cwt(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    try:
-        style = RenderStyle(kind=args.style, levels=args.levels)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    if args.levels < 1:
+        raise ConfigError(f"contour level count must be >= 1, got {args.levels}")
     field = read_image(args.field)
-    write_render(Path(args.out_file), field, style)
+    if args.style == "heatmap":
+        write_heatmap(args.out_file, field)
+    else:
+        write_contour_csv(args.out_file, field, args.levels)
     print(f"render: wrote {args.out_file}")
     return EXIT_OK
 
 
-def _display_planes(scales: tuple[float, ...]) -> list[tuple[int, float]]:
-    """Pick one plane per display scale (nearest grid scale, deduped)."""
-    picks: list[tuple[int, float]] = []
+def _display_planes(scales: tuple[float, ...]) -> frozenset[int]:
+    """The index of the grid scale nearest each display scale."""
     scales = np.asarray(scales)
-    for want in DISPLAY_SCALES:
-        i = int(np.argmin(np.abs(scales - want)))
-        entry = (i, float(scales[i]))
-        if entry not in picks:
-            picks.append(entry)
-    return picks
+    return frozenset(int(np.argmin(np.abs(scales - want)))
+                     for want in DISPLAY_SCALES)
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -205,20 +201,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     phase = _demod_phase(rc, reference, deformed)
     write_field(out / "phase.fgrid", phase.field)
-
-    shown = _display_planes(rc.cwt.scales) if rc.render_enabled else []
     sweep = cwt_sweep(phase, rc.cwt)
-    kept = _write_planes(out, rc, sweep, frozenset(i for i, _ in shown))
-
+    shown = frozenset()
     if rc.render_enabled:
-        heat = RenderStyle(kind="heatmap")
-        cont = RenderStyle(kind="contours", levels=rc.contour_levels)
-        write_render(out / "phase.ppm", phase.field, heat)
-        write_render(out / "phase_contours.csv", phase.field, cont)
-        for i, alpha in shown:
-            stem = f"plane_{i:03d}_alpha{alpha:g}"
-            write_render(out / f"{stem}.ppm", kept[i], heat)
-            write_render(out / f"{stem}_contours.csv", kept[i], cont)
+        _render(out, "phase", phase.field, rc.contour_levels)
+        shown = _display_planes(rc.cwt.scales)
+    _write_planes(out, rc, sweep, shown)
 
     _write_echo(rc, out)
     print(f"pipeline: wrote phase.fgrid + {len(sweep)} planes to {out}")

@@ -90,6 +90,17 @@ SCHEMA: dict[str, tuple[str, object]] = {
 }
 
 
+def _typed(key: str, value: str) -> tuple[str, object]:
+    """Type one key's text by the schema; unknown keys are errors."""
+    key = key.strip()
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown config key {key!r}")
+    try:
+        return key, _PARSERS[SCHEMA[key][0]](value)
+    except ValueError as e:
+        raise ConfigError(f"bad value for {key}: {e}")
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
     """Parse key=value lines into a typed dict; unknown keys are errors."""
     out: dict[str, object] = {}
@@ -100,14 +111,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        type_name, _ = SCHEMA[key]
         try:
-            out[key] = _PARSERS[type_name](value)
-        except ValueError as e:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {e}")
+            key, typed = _typed(key, value)
+        except ConfigError as e:
+            raise ConfigError(f"{source}:{lineno}: {e}")
+        out[key] = typed
     return out
 
 
@@ -120,21 +128,13 @@ def parse_override(item: str) -> tuple[str, object]:
     if "=" not in item:
         raise ConfigError(f"override must look like key=value, got {item!r}")
     key, _, value = item.partition("=")
-    key = key.strip()
-    if key not in SCHEMA:
-        raise ConfigError(f"unknown config key {key!r}")
-    type_name, _ = SCHEMA[key]
-    try:
-        return key, _PARSERS[type_name](value)
-    except ValueError as e:
-        raise ConfigError(f"bad value for {key}: {e}")
+    return _typed(key, value)
 
 
 @dataclass(frozen=True)
 class ResolvedConfig:
     """Fully materialized run parameters ready for the pipeline stages."""
 
-    label: str
     out_dir: Path
     grid: GridSpec
     phantom: PhantomSpec | None
@@ -234,7 +234,6 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
         raise ConfigError(str(e))
 
     return ResolvedConfig(
-        label=cfg["run.label"],
         out_dir=Path(cfg["out.dir"]),
         grid=grid,
         phantom=phantom,

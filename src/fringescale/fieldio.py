@@ -170,18 +170,12 @@ def read_pgm(path: str | Path) -> ScalarField:
     except ValueError as e:
         raise CorruptHeaderError(str(e), 2)
     n = grid.npixels
-    if maxval < 256:
-        need = off + n
-        if len(data) < need:
-            raise TruncatedPayloadError(
-                f"PGM raster needs {need} bytes, file holds {len(data)}", len(data))
-        raw = np.frombuffer(data, dtype=np.uint8, count=n, offset=off)
-    else:
-        need = off + 2 * n
-        if len(data) < need:
-            raise TruncatedPayloadError(
-                f"PGM raster needs {need} bytes, file holds {len(data)}", len(data))
-        raw = np.frombuffer(data, dtype=">u2", count=n, offset=off)
+    dtype = np.dtype("u1" if maxval < 256 else ">u2")
+    need = off + dtype.itemsize * n
+    if len(data) < need:
+        raise TruncatedPayloadError(
+            f"PGM raster needs {need} bytes, file holds {len(data)}", len(data))
+    raw = np.frombuffer(data, dtype=dtype, count=n, offset=off)
     values = raw.reshape(grid.shape).astype(np.float64) / float(maxval)
     return ScalarField(grid, values)
 

@@ -18,7 +18,6 @@ digits, one row per polyline vertex in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +39,6 @@ _STOP_RGB = np.array([
 MASK_RGB = (96, 96, 96)
 
 DEFAULT_CONTOUR_LEVELS = 10
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    """kind is "heatmap" or "contours"; levels applies to contours."""
-
-    kind: str = "heatmap"
-    levels: int = DEFAULT_CONTOUR_LEVELS
-
-    def __post_init__(self):
-        if self.kind not in ("heatmap", "contours"):
-            raise ValueError(f"unknown render kind {self.kind!r}")
-        if self.levels < 1:
-            raise ValueError(f"contour level count must be >= 1, got {self.levels}")
 
 
 def colormap(t: np.ndarray) -> np.ndarray:
@@ -114,11 +99,3 @@ def write_contour_csv(path: str | Path, f: ScalarField,
              for x, y in line for v in (level, seg, x, y)]
     rows = "%.17g,%d,%.17g,%.17g\n" * (len(cells) // 4) % tuple(cells)
     atomic_write_text(path, "level,segment,x,y\n" + rows)
-
-
-def write_render(path: str | Path, f: ScalarField, style: RenderStyle) -> None:
-    """Render a field to path according to the style."""
-    if style.kind == "heatmap":
-        write_heatmap(path, f)
-    else:
-        write_contour_csv(path, f, style.levels)

@@ -325,11 +325,6 @@ def _forest_turns(vals: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndar
     b = np.concatenate((ids[:, 1:][across], ids[1:][down]))
     qf, vf = q.ravel(), vals.ravel()
     rel = qf[a] + qf[b]
-    # turns across an edge as k(child) - k(parent): wrap(d) = d - 2 pi m
-    # with m = ceil((d - pi) / 2 pi), the (-pi, pi] representative
-    d = vf[b] - vf[a]
-    turn_ab = -np.ceil((d - math.pi) / TWO_PI).astype(np.int64)   # k(b) - k(a)
-    turn_ba = -np.ceil((-d - math.pi) / TWO_PI).astype(np.int64)  # k(a) - k(b)
     root = np.arange(n)
     off = np.zeros(n, dtype=np.int64)
     live = np.arange(a.size)
@@ -348,8 +343,11 @@ def _forest_turns(vals: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndar
         outer = np.where(from_a, b[e], a[e])
         parent = np.arange(n)
         parent[comps] = root[outer]
+        # the hooked edge's turn k(inner) - k(outer): wrap(d) = d - 2 pi m
+        # with m = ceil((d - pi) / 2 pi), the (-pi, pi] representative
+        turn = -np.ceil((vf[inner] - vf[outer] - math.pi) / TWO_PI).astype(np.int64)
         hook = np.zeros(n, dtype=np.int64)  # k(comp root) - k(parent root)
-        hook[comps] = off[outer] + np.where(from_a, turn_ba[e], turn_ab[e]) - off[inner]
+        hook[comps] = off[outer] + turn - off[inner]
         # two components that picked the same edge: the lower label stays root
         mutual = (parent[parent[comps]] == comps) & (comps < parent[comps])
         parent[comps[mutual]] = comps[mutual]

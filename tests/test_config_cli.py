@@ -362,6 +362,15 @@ class TestCliRender:
         assert main(["render", "--field", str(src), "--style", "contours",
                      "--levels", "0", str(tmp_path / "x.csv")]) == 2
 
+    def test_unknown_style_exits_2(self, tmp_path):
+        src = tmp_path / "f.fgrid"
+        write_field(src, field_from_array(np.zeros((8, 8))))
+        with pytest.raises(SystemExit) as ei:
+            main(["render", "--field", str(src), "--style", "sparkline",
+                  str(tmp_path / "x.out")])
+        assert ei.value.code == 2
+        assert not (tmp_path / "x.out").exists()
+
 
 class TestCliPipeline:
     def test_outputs_and_counts(self, tmp_path):

@@ -5,12 +5,10 @@ from fringescale import field_from_array
 from fringescale.render import (
     COLORMAP_NAME,
     MASK_RGB,
-    RenderStyle,
     colormap,
     heatmap_rgb,
     write_contour_csv,
     write_heatmap,
-    write_render,
 )
 from oracles import contour_csv_text
 
@@ -143,19 +141,3 @@ class TestContourCsv:
         text = p.read_text()
         assert len({ln.split(",")[1] for ln in text.splitlines()[1:]}) > 20
         assert text == contour_csv_text(f, 7)
-
-
-class TestWriteRender:
-    def test_dispatch(self, tmp_path):
-        f = field_from_array(np.arange(64, dtype=float).reshape(8, 8))
-        write_render(tmp_path / "a.ppm", f, RenderStyle(kind="heatmap"))
-        write_render(tmp_path / "a.csv", f, RenderStyle(kind="contours", levels=2))
-        assert (tmp_path / "a.ppm").exists()
-        assert (tmp_path / "a.ppm.txt").exists()
-        assert (tmp_path / "a.csv").exists()
-
-    def test_bad_style(self):
-        with pytest.raises(ValueError):
-            RenderStyle(kind="sparkline")
-        with pytest.raises(ValueError):
-            RenderStyle(kind="contours", levels=0)

@@ -482,6 +482,20 @@ class TestUnwrap:
         q[3, 5] = np.nan
         assert np.array_equal(unwrap(p, quality=q).field.values, np.zeros((8, 8)))
 
+    def test_exact_pi_tie_takes_each_turn_in_its_hook_direction(self):
+        """Across a step of exactly pi both directions wrap to +pi, the
+        (-pi, pi] representative, so their turns disagree by one and the
+        result depends on the direction each edge is hooked in. Pinned to
+        a recorded output: taking the turns the other way moves four
+        pixels by 2 pi."""
+        vals = np.zeros((8, 8))
+        vals[3, 4] = math.pi
+        out = unwrap(PhaseMap(field_from_array(vals), wrapped=True)).field.values
+        expected = np.zeros((8, 8))
+        expected[3, 4] = math.pi
+        expected[3, 5:] = TWO_PI
+        assert np.array_equal(out, expected)
+
 
 def smooth_field(rng, h, w, max_step=3.0):
     """Sum of random plane waves scaled so no 4-neighbor step exceeds
