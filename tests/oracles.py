@@ -333,9 +333,12 @@ def _single_kernel_ffts(t, w, freqs, n):
 
 
 def sequential_demodulate(img, params):
-    """The single-precision ridge scan in one thread: ascending u, then v,
-    strict improvement; wft.demodulate splits the u grid across threads
-    and must equal it bit for bit."""
+    """The single-precision ridge scan in one thread, with nothing
+    skipped: every (u, v) over every column, ascending u, then v, strict
+    improvement, so a tie keeps the smallest flat grid index.
+    wft.demodulate skips the columns its bound rules out, deals the u
+    grid across threads from the band centre outwards and breaks ties by
+    the flat index; it must equal this scan bit for bit."""
     us = frequency_grid(params.band_x, params.step)
     vs = frequency_grid(params.band_y, params.step)
     h, w = shape = img.grid.shape

@@ -44,3 +44,11 @@ def test_scale_response_curve(tmp_path):
         lines = path.read_text().splitlines()
         assert lines[0] == "alpha,response"
         assert len(lines) == 6
+
+
+def test_scan_scaling():
+    proc = run_script("scan_scaling.py", "--sizes", "48", "--bands", "3", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    size, band, seconds, share = proc.stdout.splitlines()[-1].split()
+    assert (size, band) == ("48", "3x3")
+    assert float(seconds) > 0 and 0 < float(share) <= 1

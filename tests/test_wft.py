@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -256,14 +257,69 @@ class TestDemodulateMatchesOracle:
         self.compare(pair.deformed, DemodParams.for_carrier(0.125))
 
 
+def masked_tone(n):
+    """A tilted 0.125 cycles/px tone with a masked rectangle holding 0."""
+    y, x = np.mgrid[0:n, 0:n]
+    vals = 1.0 + np.cos(2 * np.pi * (0.125 * x + 0.03 * y))
+    mask = np.ones((n, n), dtype=bool)
+    mask[n // 4:n // 2, n // 3:2 * n // 3] = False
+    return field_from_array(np.where(mask, vals, 0.0), mask)
+
+
+def steep_plume(n):
+    """An 8-turn plume whose fringe frequency shifts by up to 0.097
+    cycles/px, near the edge of the default +-0.1 band."""
+    truth = make_phase(GridSpec(n, n), PhantomSpec(
+        kind="gaussian_plume", peak=16 * math.pi, widths=(n / 5.12, n / 5.12)))
+    return make_fringes(truth, CarrierSpec(fx=0.125),
+                        NoiseSpec(sigma=0.05, seed=3)).deformed
+
+
+SCAN_IMAGES = {
+    "rib_step": lambda: rib_step_pair(96, 0.1)[1].deformed,
+    "narrow_30x50": lambda: make_fringes(
+        make_phase(GridSpec(30, 50), PhantomSpec(
+            kind="gaussian_plume", peak=2.0, widths=(20.0, 20.0))),
+        CarrierSpec(fx=0.125), NoiseSpec(sigma=0.05, seed=7)).deformed,
+    "noise_96": lambda: field_from_array(np.random.default_rng(5).normal(size=(96, 96))),
+    "zero_64": lambda: field_from_array(np.zeros((64, 64))),
+    "constant_64": lambda: field_from_array(np.ones((64, 64))),
+    "masked_tone_96": lambda: masked_tone(96),
+    "steep_plume_256": lambda: steep_plume(256),
+}
+
+
+@functools.cache
+def sequential_scan(name):
+    """The image named in SCAN_IMAGES and its one-thread reference scan
+    at the default band, made once per pytest process."""
+    img = SCAN_IMAGES[name]()
+    return img, sequential_demodulate(img, DemodParams.for_carrier(0.125))
+
+
+def record_scans(monkeypatch):
+    """List (chunk, u indices) for every chunk scan demodulate runs."""
+    scans, scan = [], wft._ChunkScan.scan
+
+    def record(chunk, u_index):
+        scans.append((chunk, list(u_index)))
+        scan(chunk, u_index)
+
+    monkeypatch.setattr(wft._ChunkScan, "scan", record)
+    return scans
+
+
 class TestThreadedScanMatchesSequential:
-    """The scan split across threads against the same scan in one loop
-    (tests/oracles.py), bit for bit, at forced worker counts: one chunk,
-    two and three chunks, and one chunk per u (len(us) + 1 CPUs, more
-    threads than cores), with the interpreter switching threads often."""
+    """The pruned scan split across threads against the full scan in one
+    loop (tests/oracles.py), bit for bit on all four arrays, at forced
+    worker counts: one chunk, two and three chunks, and one chunk per u
+    (len(us) + 1 CPUs, more threads than cores, where every u is a
+    thread's first and nothing is pruned), with the interpreter switching
+    threads often. The zero image ties everywhere, so only the flat-index
+    tie rule picks its winners; pure noise prunes little."""
 
     @staticmethod
-    def assert_identical(img, params, scan_workers, workers):
+    def assert_identical(img, params, scan_workers, workers, want=None):
         n_u = len(frequency_grid(params.band_x, params.step))
         scan_workers(n_u + 1 if workers is None else workers)
         interval = sys.getswitchinterval()
@@ -272,27 +328,40 @@ class TestThreadedScanMatchesSequential:
             got = demodulate(img, params)
         finally:
             sys.setswitchinterval(interval)
-        want = sequential_demodulate(img, params)
+        if want is None:
+            want = sequential_demodulate(img, params)
         for g, w in ((got.phase.field, want.phase.field), (got.freq_x, want.freq_x),
                      (got.freq_y, want.freq_y),
                      (got.ridge_amplitude, want.ridge_amplitude)):
             assert g.values.tobytes() == w.values.tobytes()
         assert np.array_equal(got.phase.field.valid(), want.phase.field.valid())
 
+    def assert_named_identical(self, name, scan_workers, workers):
+        img, want = sequential_scan(name)
+        self.assert_identical(img, DemodParams.for_carrier(0.125), scan_workers,
+                              workers, want)
+
     @pytest.mark.parametrize("workers", [1, 2, 3, None])
     def test_rib_step(self, scan_workers, workers):
-        _, pair = rib_step_pair(96, 0.1)
-        self.assert_identical(pair.deformed, DemodParams.for_carrier(0.125),
-                              scan_workers, workers)
+        self.assert_named_identical("rib_step", scan_workers, workers)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, None])
     def test_grid_narrower_than_the_window(self, scan_workers, workers):
-        truth = make_phase(GridSpec(30, 50), PhantomSpec(
-            kind="gaussian_plume", peak=2.0, widths=(20.0, 20.0)))
-        pair = make_fringes(truth, CarrierSpec(fx=0.125),
-                            NoiseSpec(sigma=0.05, seed=7))
-        self.assert_identical(pair.deformed, DemodParams.for_carrier(0.125),
-                              scan_workers, workers)
+        self.assert_named_identical("narrow_30x50", scan_workers, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, None])
+    @pytest.mark.parametrize("name", ["noise_96", "zero_64", "constant_64",
+                                      "masked_tone_96", "steep_plume_256"])
+    def test_image(self, scan_workers, name, workers):
+        self.assert_named_identical(name, scan_workers, workers)
+
+    def test_scans_share_no_state(self, scan_workers):
+        # a best left over from a brighter image would prune the dim
+        # image's first u wrongly
+        img, _ = sequential_scan("masked_tone_96")
+        dim = field_from_array(img.values / 64, img.mask)
+        demodulate(img, DemodParams.for_carrier(0.125))
+        self.assert_identical(dim, DemodParams.for_carrier(0.125), scan_workers, 2)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, None])
     def test_chunks_partition_the_u_grid(self, scan_workers, monkeypatch, workers):
@@ -300,17 +369,23 @@ class TestThreadedScanMatchesSequential:
         # slower, so the identity tests cannot see it
         n_u = len(frequency_grid(SMALL_PARAMS.band_x, SMALL_PARAMS.step))
         scan_workers(n_u + 1 if workers is None else workers)
-        scanned, scan = [], wft._ChunkScan.scan
-
-        def record(chunk, row_fft, row_kernels, col_kernels, first):
-            scanned.append(range(first, first + len(row_kernels)))
-            scan(chunk, row_fft, row_kernels, col_kernels, first)
-
-        monkeypatch.setattr(wft._ChunkScan, "scan", record)
+        scans = record_scans(monkeypatch)
         demodulate(field_from_array(np.zeros((16, 16))), SMALL_PARAMS)
-        assert len(scanned) == min(n_u, workers or n_u)
-        assert [u for r in sorted(scanned, key=lambda r: r.start) for u in r] \
-            == list(range(n_u))
+        assert len(scans) == min(n_u, workers or n_u)
+        assert sorted(u for _, u_index in scans for u in u_index) == list(range(n_u))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pruning_skips_most_columns(self, scan_workers, monkeypatch, workers):
+        # the scan would be just as exact without pruning, so only the
+        # count of scanned (u, column) pairs shows it happens
+        scan_workers(workers)
+        scans = record_scans(monkeypatch)
+        _, pair = rib_step_pair(192, 0.02)
+        params = DemodParams.for_carrier(0.125)
+        demodulate(pair.deformed, params)
+        n_u = len(frequency_grid(params.band_x, params.step))
+        share = sum(chunk.scanned for chunk, _ in scans) / (n_u * 192)
+        assert 0 < share < 0.2
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_one_u_band(self, scan_workers, workers):
