@@ -1,0 +1,82 @@
+"""Time the wavelet sweep alone by grid size, and measure the edges of the
+planes that wrap.
+
+The input is the README quick-start's rib-step plume (peak 6, width
+60 px and the rib rectangle at 512^2, masked), scaled to n x n, plus
+Gaussian noise of 0.05 rad from a seeded generator. For each size the
+script prints the median wall time of --repeat sweeps over the 32
+default scales, normalized and thresholded as the pipeline does and
+written nowhere. Then, for each plane whose hat reach 10 alpha is not
+below 2 alpha_max, so that its edge values depend on how its padded grid
+wraps, it prints the max and RMS error over the valid pixels within
+3 alpha of the edge against tests/oracles.py::wide_pad_plane (a grid on
+which nothing wraps): first for the n + 2 ceil(2 alpha_max) grid
+(tests/oracles.py::uniform_pad_sweep), then for the sweep's own grid.
+
+    python3 scripts/cwt_scaling.py --sizes 256 512 768 1024
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from fringescale import CwtParams, cwt_sweep, default_scale_grid, field_from_array
+from fringescale.cwt import HAT_REACH
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import edge_band_errors, uniform_pad_sweep, wide_pad_plane  # noqa: E402
+
+
+def rib_plume(n: int, seed: int = 1):
+    s = n / 512.0
+    y, x = np.mgrid[0:n, 0:n].astype(float)
+    r2 = (x - n / 2.0) ** 2 + (y - n / 2.0) ** 2
+    rng = np.random.default_rng(seed)
+    vals = 6.0 * np.exp(-r2 / (2.0 * (60.0 * s) ** 2)) + 0.05 * rng.normal(size=(n, n))
+    x0, y0, w, h = (int(v * s) for v in (64, 384, 128, 96))
+    mask = np.ones((n, n), dtype=bool)
+    mask[y0:y0 + h, x0:x0 + w] = False
+    return field_from_array(np.where(mask, vals, 0.0), mask)
+
+
+def sweep_seconds(f, params) -> float:
+    start = time.perf_counter()
+    for _ in cwt_sweep(f, params):
+        pass
+    return time.perf_counter() - start
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[256, 512, 768, 1024])
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+
+    scales = default_scale_grid()
+    for n in args.sizes:
+        f = rib_plume(n)
+        seconds = statistics.median(sweep_seconds(f, CwtParams(scales=scales))
+                                    for _ in range(args.repeat))
+        raw = CwtParams(scales=scales, normalize=False, threshold_fraction=0.0)
+        sweep = cwt_sweep(f, raw)
+        old_grid = n + 2 * int(np.ceil(2.0 * scales[-1]))
+        print(f"size {n}  sweep_s {seconds:.3f}  wrapping planes on "
+              f"{old_grid}^2 before, {sweep._grid(scales[-1])[0][0]}^2 now")
+        print("   alpha   old_max   new_max   old_rms   new_rms")
+        for (alpha, new, _), (_, old, _) in zip(sweep, uniform_pad_sweep(f, raw)):
+            if HAT_REACH * alpha < 2.0 * scales[-1]:
+                continue
+            ref = wide_pad_plane(f, alpha)
+            (old_max, old_rms), (new_max, new_rms) = (
+                edge_band_errors(plane.values, ref, alpha, f.valid())
+                for plane in (old, new))
+            print(f"{alpha:8.3f}  {old_max:.2e}  {new_max:.2e}  {old_rms:.2e}  "
+                  f"{new_rms:.2e}")
+
+
+if __name__ == "__main__":
+    main()

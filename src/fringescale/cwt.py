@@ -41,16 +41,14 @@ it at alpha = 1.
 For production runs on real phase maps the input is edge-padded and
 the plane cropped after the transform to suppress wraparound, while
 oracle and covariance tests run unpadded so the periodic convention is
-exact. The padded length of each axis follows one of two rules
-(Torrence & Compo, BAMS 79, 61, 1998, on padding and edge effects):
-
-* a plane whose hat reach HAT_REACH * alpha is shorter than
-  2 * alpha_max takes the 5-smooth length at or above
-  n + 2 * ceil(HAT_REACH * alpha). No pixel it keeps reads past the
-  padding, so it equals the plane on any larger edge-padded grid to
-  rounding;
-* the other planes share the length n + 2 * ceil(2 * alpha_max),
-  because their edge values depend on how that grid wraps.
+exact. Each padded axis of n pixels takes the 5-smooth length at or
+above n + 2 * min(ceil(HAT_REACH * alpha), ceil(2 * alpha_max)), the
+usual fast-length padding (Torrence & Compo, BAMS 79, 61, 1998, on
+padding and edge effects). A plane whose hat reach is the smaller keeps
+no pixel that reads past the padding, so it equals the plane on any
+larger edge-padded grid to rounding; the edge values of the others
+depend on how the grid wraps, and the tests bound them against a grid
+wide enough that none does.
 
 The input sits centred, (L - n) // 2 pixels from the start of a length
 L, so planes of equal padded shape share one forward transform. A sweep
@@ -216,13 +214,12 @@ class CwtSweep:
     it was not normalized). No plane is kept once it has been handed
     out.
 
-    With padding on, a plane whose hat reach HAT_REACH * alpha is
-    shorter than 2 * max(scales) gets the 5-smooth length at or above
-    n + 2 * ceil(HAT_REACH * alpha) on each axis, the others a margin
-    of ceil(2 * max(scales)) on every side, and the input sits centred
-    (see the module docstring). Scales increase, so the padded shape
-    never shrinks along the sweep: one padded spectrum is held at a
-    time, and the forward FFT runs once per padded shape.
+    With padding on, each axis of n pixels gets the 5-smooth length at
+    or above n + 2 * min(ceil(HAT_REACH * alpha), ceil(2 * max(scales))),
+    and the input sits centred (see the module docstring). Scales
+    increase, so the padded shape never shrinks along the sweep: one
+    padded spectrum is held at a time, and the forward FFT runs once per
+    padded shape.
     """
 
     def __init__(self, phase, params: CwtParams):
@@ -238,7 +235,7 @@ class CwtSweep:
                     AliasingWarning, stacklevel=3)
         self._field = f
         self._params = params
-        self._wrap_pad = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
+        self._max_margin = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
         self._valid = f.valid()
         self._shape = self._spectrum = None
         self.scales = params.scales
@@ -261,15 +258,15 @@ class CwtSweep:
     def _grid(self, alpha: float) -> tuple[tuple[int, int], tuple[int, int]]:
         """The padded shape for alpha and the pad before each axis.
 
-        A reach below the shared margin ceil(2 * max(scales)) implies
-        HAT_REACH * alpha < 2 * max(scales); a reach that rounds up to
-        the margin itself takes the shared grid, which is wide enough.
-        The input is centred, so the pads follow from the shape alone.
+        The margin is the hat reach ceil(HAT_REACH * alpha), capped at
+        ceil(2 * max(scales)); without padding it is 0 and the shape is
+        the input's own. The input is centred, so the pads follow from
+        the shape alone.
         """
-        pad, (h, w) = self._wrap_pad, self._field.grid.shape
-        reach = int(np.ceil(HAT_REACH * alpha))
-        shape = tuple(sfft.next_fast_len(n + 2 * reach, real=True) if reach < pad
-                      else n + 2 * pad for n in (h, w))
+        h, w = self._field.grid.shape
+        margin = min(int(np.ceil(HAT_REACH * alpha)), self._max_margin)
+        shape = tuple(sfft.next_fast_len(n + 2 * margin, real=True) if margin else n
+                      for n in (h, w))
         return shape, ((shape[0] - h) // 2, (shape[1] - w) // 2)
 
     def _plane(self, alpha: float) -> tuple[float, ScalarField, float]:
@@ -304,8 +301,10 @@ def cwt_plane(phase, alpha: float, *, pad: bool = False) -> ScalarField:
     one-scale sweep with no normalization and no threshold.
 
     pad=False (default) keeps the exact periodic convention. pad=True
-    edge-replicates by 2*alpha pixels before transforming and crops the
-    result, for production use on non-periodic data.
+    edge-pads each axis of n pixels to the 5-smooth length at or above
+    n + 2 * ceil(2 * alpha), the sweep's rule for one scale, with the
+    input centred, and crops the result, for production use on
+    non-periodic data.
     """
     params = CwtParams((alpha,), threshold_fraction=0.0, normalize=False, pad=pad)
     return next(CwtSweep(phase, params))[1]

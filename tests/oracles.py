@@ -9,9 +9,12 @@ shorter padding (a double-precision scan padded by the full window width
 on both sides), the single-precision scan before its u grid was split
 across threads (one loop over u, then v, in the calling thread), and the
 wavelet sweep before each plane got a pad sized to its own hat reach
-(every plane on one grid edge-padded by 2 * max(scales), inverted by
-irfft2, then normalized and thresholded over its valid pixels by
-normalize_plane and threshold_plane).
+and a 5-smooth length (every plane on one grid edge-padded by
+2 * max(scales), inverted by irfft2, then normalized and thresholded
+over its valid pixels by normalize_plane and threshold_plane).
+wide_pad_plane is the reference for the edges of the planes whose hat
+reaches past their padding: a grid so wide that no kept pixel's hat
+wraps.
 """
 
 import heapq
@@ -439,3 +442,30 @@ def uniform_pad_sweep(field, params):
         divisor = normalize_plane(out, valid) if params.normalize else 1.0
         threshold_plane(out, valid, params.threshold_fraction)
         yield alpha, ScalarField(field.grid, out, field.mask), divisor
+
+
+def wide_pad_plane(field, alpha):
+    """The plane at scale alpha on a grid edge-padded by ceil(HAT_REACH *
+    alpha) pixels on every side, so that no kept pixel's hat reaches
+    past the padding and wraps: from irfft2, cropped and masked, neither
+    normalized nor thresholded. The reference for the edge values of the
+    planes whose padding is narrower than their hat reach."""
+    padw = int(np.ceil(HAT_REACH * alpha))
+    arr = np.pad(field.values, padw, mode="edge")
+    gy, hy = _hat_axis_dfts(arr.shape[0], alpha, half=False)
+    gx, hx = _hat_axis_dfts(arr.shape[1], alpha, half=True)
+    mult = (gy[:, None] * (2.0 * gx - hx)[None, :]
+            - hy[:, None] * gx[None, :]) / alpha
+    out = np.fft.irfft2(np.fft.rfft2(arr) * mult, s=arr.shape)
+    h, w = field.grid.shape
+    return np.where(field.valid(), out[padw:padw + h, padw:padw + w], 0.0)
+
+
+def edge_band_errors(values, ref, alpha, valid):
+    """Max and RMS of |values - ref| over the valid pixels within 3 alpha
+    of the edge of the grid, where a plane's edge values feel the wrap."""
+    h, w = ref.shape
+    i, j = np.ogrid[:h, :w]
+    depth = np.minimum(np.minimum(i, h - 1 - i), np.minimum(j, w - 1 - j))
+    err = np.abs(values - ref)[valid & (depth < 3.0 * alpha)]
+    return float(err.max()), float(np.sqrt(np.mean(err * err)))

@@ -18,7 +18,8 @@ from fringescale import (
     mexican_hat_spectrum,
 )
 from fringescale.cwt import HAT_REACH, finish_plane
-from oracles import brute_cwt_plane, uniform_pad_sweep
+from oracles import (brute_cwt_plane, edge_band_errors, uniform_pad_sweep,
+                     wide_pad_plane)
 
 
 class TestWaveletIdentities:
@@ -285,25 +286,55 @@ def _masked_ramp(h, w, rng):
     return field_from_array(np.where(mask, vals, 0.0), mask)
 
 
+def _masked_rib_plume(n, rng):
+    """A noisy Gaussian plume on n x n with a masked rib rectangle, zero
+    inside, laid out like the README quick-start scaled to n."""
+    s = n / 512.0
+    y, x = np.mgrid[0:n, 0:n].astype(float)
+    r2 = (x - n / 2.0) ** 2 + (y - n / 2.0) ** 2
+    vals = 6.0 * np.exp(-r2 / (2.0 * (60.0 * s) ** 2)) + 0.05 * rng.normal(size=(n, n))
+    x0, y0, w, h = (int(v * s) for v in (64, 384, 128, 96))
+    mask = np.ones((n, n), dtype=bool)
+    mask[y0:y0 + h, x0:x0 + w] = False
+    return field_from_array(np.where(mask, vals, 0.0), mask)
+
+
+def _wraps(alpha, scales):
+    """Whether the hat reach at alpha is not below the capped margin, so
+    the plane's edge values depend on how its padded grid wraps."""
+    return HAT_REACH * alpha >= 2.0 * max(scales)
+
+
+def _assert_edges_no_worse(got, old, ref, alpha, valid, slack):
+    """got's edge errors against ref, in max and in RMS, are no larger
+    than old's, give or take slack for rounding."""
+    errors = zip(edge_band_errors(got, ref, alpha, valid),
+                 edge_band_errors(old, ref, alpha, valid))
+    for what, (e_got, e_old) in zip(("max", "rms"), errors):
+        assert e_got <= e_old + slack, (alpha, what, e_got, e_old)
+
+
 class TestSweepMatchesUniformPadOracle:
     # max(scales) = 10, so planes with HAT_REACH * alpha < 20 get a pad
     # sized to their own reach, except 1.99, whose reach rounds up to the
-    # margin itself; 2.0 sits exactly on the boundary and keeps the
-    # shared 2 * max(scales) margin with the larger scales
+    # capped margin itself; 2.0 sits exactly on the boundary, and it and
+    # the larger scales wrap. Planes that do not wrap match the oracle's
+    # n + 2 ceil(2 max(scales)) grid to 1e-12; those that wrap must be no
+    # further than it from a grid on which nothing wraps, at the edges
     SCALES = (1.0, 1.3, 1.7, 1.99, 2.0, 3.0, 5.5, 10.0)
 
     def test_planes_and_divisors(self, rng):
         f = _masked_ramp(70, 53, rng)
         params = CwtParams(scales=self.SCALES)
-        wrap = 2.0 * max(self.SCALES)
         crossed = []
         for (alpha, got, divisor), (_, want, want_divisor) in zip(
                 cwt_sweep(f, params), uniform_pad_sweep(f, params)):
             g, w = got.values, want.values
             assert np.array_equal(got.mask, want.mask)
-            if HAT_REACH * alpha >= wrap:
-                assert divisor == want_divisor, alpha
-                np.testing.assert_array_equal(g, w, err_msg=f"alpha={alpha}")
+            if _wraps(alpha, self.SCALES):
+                ref = wide_pad_plane(f, alpha)
+                finish_plane(ref, True, params.threshold_fraction)
+                _assert_edges_no_worse(g, w, ref, alpha, f.valid(), 1e-12)
                 continue
             assert abs(divisor - want_divisor) <= 1e-12 * want_divisor, alpha
             cross = (g == 0.0) != (w == 0.0)
@@ -318,6 +349,8 @@ class TestSweepMatchesUniformPadOracle:
         params = CwtParams(scales=self.SCALES, normalize=False)
         for (alpha, got, _), (_, want, _) in zip(cwt_sweep(f, params),
                                                  uniform_pad_sweep(f, params)):
+            if _wraps(alpha, self.SCALES):
+                continue  # test_wrapping_planes_edges_no_worse
             scale = np.abs(want.values).max()
             assert np.abs(got.values - want.values).max() <= 1e-12 * scale, alpha
 
@@ -331,14 +364,39 @@ class TestSweepMatchesUniformPadOracle:
 
     @pytest.mark.parametrize("pad", [True, False])
     def test_single_plane_is_the_oracle(self, rng, pad):
-        # one scale always reaches 10 alpha >= 2 alpha, the shared margin
+        # one scale always reaches 10 alpha >= 2 alpha, the capped margin,
+        # so its padded plane wraps
         f = _masked_ramp(70, 53, rng)
         for alpha in (1.0, 4.5):
             params = CwtParams(scales=(alpha,), threshold_fraction=0.0,
                                normalize=False, pad=pad)
             (_, want, _), = uniform_pad_sweep(f, params)
-            np.testing.assert_array_equal(cwt_plane(f, alpha, pad=pad).values,
-                                          want.values)
+            got = cwt_plane(f, alpha, pad=pad).values
+            if not pad:
+                np.testing.assert_array_equal(got, want.values)
+                continue
+            ref = wide_pad_plane(f, alpha)
+            _assert_edges_no_worse(got, want.values, ref, alpha, f.valid(),
+                                   1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("shape", ["ramp70x53", "rib_plume192"])
+    def test_wrapping_planes_edges_no_worse(self, rng, shape):
+        # every plane that wraps, against a grid edge-padded by its own
+        # hat reach, on which none of its kept pixels does
+        if shape == "ramp70x53":
+            f, scales = _masked_ramp(70, 53, rng), self.SCALES
+        else:
+            f, scales = _masked_rib_plume(192, rng), default_scale_grid()
+        params = CwtParams(scales=scales, normalize=False, threshold_fraction=0.0)
+        checked = []
+        for (alpha, got, _), (_, old, _) in zip(cwt_sweep(f, params),
+                                                uniform_pad_sweep(f, params)):
+            if _wraps(alpha, scales):
+                ref = wide_pad_plane(f, alpha)
+                _assert_edges_no_worse(got.values, old.values, ref, alpha, f.valid(),
+                                       1e-12 * np.abs(ref).max())
+                checked.append(alpha)
+        assert len(checked) == {"ramp70x53": 4, "rib_plume192": 11}[shape]
 
     def test_alloc_peak_not_above_the_oracle(self, rng):
         # one padded spectrum at a time: the reach-sized pads must not
@@ -365,20 +423,32 @@ class TestPaddedGrid:
                                         TestSweepMatchesUniformPadOracle.SCALES])
     def test_pads_cover_the_hat_reach(self, shape, scales):
         sweep = cwt_sweep(field_from_array(np.zeros(shape)), CwtParams(scales=scales))
-        wrap = math.ceil(2.0 * max(scales))
         for alpha in scales:
             padded, before = sweep._grid(alpha)
             after = tuple(p - n - b for p, n, b in zip(padded, shape, before))
-            reach = math.ceil(HAT_REACH * alpha)
-            if HAT_REACH * alpha >= 2.0 * max(scales):
-                assert before == after == (wrap, wrap), alpha
-                continue
-            assert min(before + after) >= reach, alpha
+            margin = min(math.ceil(HAT_REACH * alpha), math.ceil(2.0 * max(scales)))
+            assert padded == tuple(sfft.next_fast_len(n + 2 * margin, real=True)
+                                   for n in shape), alpha
+            assert min(before + after) >= margin, alpha
             # centred, so the pads follow from the padded shape alone
             assert before == tuple((p - n) // 2 for p, n in zip(padded, shape)), alpha
-            if reach < wrap:
-                assert padded == tuple(sfft.next_fast_len(n + 2 * reach, real=True)
-                                       for n in shape), alpha
+
+    @pytest.mark.parametrize("n, fast", [(70, 480), (192, 600), (512, 960),
+                                         (768, 1200), (1024, 1440)])
+    def test_largest_scale_takes_a_5_smooth_length(self, n, fast):
+        # n + 2 ceil(2 alpha_max) is 470, 592, 912, 1168 and 1424 here,
+        # none of them 5-smooth; unpadded, every plane keeps n
+        f = field_from_array(np.zeros((n, n)))
+        scales = default_scale_grid()
+        padded = cwt_sweep(f, CwtParams(scales=scales))._grid(scales[-1])[0]
+        assert padded == (fast, fast)
+        assert fast >= n + 2 * math.ceil(2.0 * scales[-1])
+        for p in (2, 3, 5):
+            while fast % p == 0:
+                fast //= p
+        assert fast == 1
+        unpadded = cwt_sweep(f, CwtParams(scales=scales, pad=False))
+        assert {unpadded._grid(a) for a in scales} == {((n, n), (0, 0))}
 
     def test_one_forward_transform_per_padded_shape(self, rng, monkeypatch):
         shapes = []
@@ -392,23 +462,26 @@ class TestPaddedGrid:
                           CwtParams(scales=scales))
         distinct = {sweep._grid(a)[0] for a in scales}
         assert len(list(sweep)) == 32
-        assert len(shapes) == len(distinct) == 17
+        # the plane at 19.5 shares the 600 x 600 grid of the 11 that wrap
+        assert len(shapes) == len(distinct) == 16
         assert set(shapes) == distinct
 
     def test_shared_spectra_match_the_oracle(self, rng):
         # at 64x64 the default scales put planes of reach 10 and 12, 14
-        # and 16, and 19 and 22 on one padded shape each; every plane must
-        # still match the plane on the shared 2 alpha_max grid
+        # and 16, and 19 and 22 on one padded shape each; every plane that
+        # does not wrap must still match the plane on the 2 alpha_max grid
         f = _masked_ramp(64, 64, rng)
         params = CwtParams(scales=default_scale_grid(), normalize=False,
                            threshold_fraction=0.0)
         sweep = cwt_sweep(f, params)
         reaches = {}
         for a in params.scales:
-            if HAT_REACH * a < 2.0 * max(params.scales):
+            if not _wraps(a, params.scales):
                 reaches.setdefault(sweep._grid(a)[0], set()).add(math.ceil(HAT_REACH * a))
         assert max(map(len, reaches.values())) > 1
         for (alpha, got, _), (_, want, _) in zip(sweep, uniform_pad_sweep(f, params)):
+            if _wraps(alpha, params.scales):
+                continue
             scale = np.abs(want.values).max()
             assert np.abs(got.values - want.values).max() <= 1e-12 * scale, alpha
 

@@ -4,6 +4,7 @@ Each script runs in a fresh interpreter, as a user runs it, at a small
 size, and must exit 0 and write its files.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -52,3 +53,14 @@ def test_scan_scaling():
     size, band, seconds, share = proc.stdout.splitlines()[-1].split()
     assert (size, band) == ("48", "3x3")
     assert float(seconds) > 0 and 0 < float(share) <= 1
+
+
+def test_cwt_scaling():
+    proc = run_script("cwt_scaling.py", "--sizes", "48", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    head, columns, *rows = proc.stdout.splitlines()
+    assert head.startswith("size 48  sweep_s ")
+    assert head.endswith("wrapping planes on 448^2 before, 450^2 now")
+    assert columns.split() == ["alpha", "old_max", "new_max", "old_rms", "new_rms"]
+    assert len(rows) == 11
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split())
