@@ -12,9 +12,10 @@ Exit codes: 0 success, 2 configuration error (bad keys, bad values,
 malformed overrides), 3 I/O error (missing or corrupt files), 4 numeric
 failure (degenerate inputs, empty masks, non-finite unwrap quality).
 
-Configuration comes from an optional ``--config FILE`` plus repeatable
-``--set key=value`` overrides; every run echoes the fully resolved
-configuration next to its outputs.
+Configuration comes from an optional ``--config FILE``, repeatable
+``--set key=value`` overrides, then ``--out`` and ``demod``'s
+``--reference``/``--deformed``, which set out.dir and input.*. Every run
+echoes the fully resolved configuration next to its outputs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .fieldio import atomic_write_text, read_image, write_field
-from .render import write_contour_csv, write_heatmap
+from .render import DEFAULT_CONTOUR_LEVELS, write_contour_csv, write_heatmap
 from .synth import make_fringes, make_phase
 from .wft import anchor_far_field, demodulate, relative_phase, unwrap
 
@@ -60,8 +61,9 @@ def _load_config(args: argparse.Namespace) -> cfgmod.ResolvedConfig:
     for item in args.set or ():
         key, value = cfgmod.parse_override(item)
         values[key] = value
-    if args.out is not None:
-        values["out.dir"] = args.out
+    for key, value in vars(args).items():
+        if key in cfgmod.SCHEMA and value is not None:
+            values[key] = value
     return cfgmod.resolve(values)
 
 
@@ -89,9 +91,8 @@ def _write_synth(rc: cfgmod.ResolvedConfig):
 def cmd_synth(args: argparse.Namespace) -> int:
     rc = _load_config(args)
     _write_synth(rc)
-    out = rc.out_dir
-    _write_echo(rc, out)
-    print(f"synth: wrote reference/deformed/phase_true to {out}")
+    _write_echo(rc, rc.out_dir)
+    print(f"synth: wrote reference/deformed/phase_true to {rc.out_dir}")
     return EXIT_OK
 
 
@@ -108,14 +109,12 @@ def _demod_phase(rc: cfgmod.ResolvedConfig, reference: ScalarField,
     return phase
 
 
-def _read_pair(rc: cfgmod.ResolvedConfig, args: argparse.Namespace):
+def _read_pair(rc: cfgmod.ResolvedConfig):
     """Read the measured fringe pair, check that both images share a grid
     and check the anchor rectangle against it, which is known only now."""
-    ref_path = getattr(args, "reference", None) or rc.input_reference
-    dfm_path = getattr(args, "deformed", None) or rc.input_deformed
-    if not ref_path or not dfm_path:
+    if rc.input_reference is None:
         raise ConfigError("demod needs --reference and --deformed images")
-    reference, deformed = read_image(ref_path), read_image(dfm_path)
+    reference, deformed = read_image(rc.input_reference), read_image(rc.input_deformed)
     grid = reference.grid
     if deformed.grid != grid:
         raise GridMismatchError(
@@ -129,7 +128,7 @@ def _read_pair(rc: cfgmod.ResolvedConfig, args: argparse.Namespace):
 
 def cmd_demod(args: argparse.Namespace) -> int:
     rc = _load_config(args)
-    reference, deformed = _read_pair(rc, args)
+    reference, deformed = _read_pair(rc)
     phase = _demod_phase(rc, reference, deformed)
     out = _ensure_out(rc)
     write_field(out / "phase.fgrid", phase.field)
@@ -196,10 +195,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         pair = _write_synth(rc)
         reference, deformed = pair.reference, pair.deformed
     else:
-        reference, deformed = _read_pair(rc, args)
-    out = _ensure_out(rc)
+        reference, deformed = _read_pair(rc)
 
     phase = _demod_phase(rc, reference, deformed)
+    out = _ensure_out(rc)
     write_field(out / "phase.fgrid", phase.field)
     sweep = cwt_sweep(phase, rc.cwt)
     shown = frozenset()
@@ -217,7 +216,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="key=value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
-    p.add_argument("--out", metavar="DIR", help="output directory")
+    p.add_argument("--out", dest="out.dir", metavar="DIR", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,8 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demod", help="recover phase from a fringe pair")
     _add_config_args(p)
-    p.add_argument("--reference", metavar="FILE", help="reference fringe image")
-    p.add_argument("--deformed", metavar="FILE", help="deformed fringe image")
+    p.add_argument("--reference", dest="input.reference", metavar="FILE",
+                   help="reference fringe image")
+    p.add_argument("--deformed", dest="input.deformed", metavar="FILE",
+                   help="deformed fringe image")
     p.set_defaults(fn=cmd_demod)
 
     p = sub.add_parser("cwt", help="multi-scale sweep over a phase map")
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input field (.fgrid or .pgm)")
     p.add_argument("--style", choices=("heatmap", "contours"),
                    default="heatmap")
-    p.add_argument("--levels", type=int, default=10,
+    p.add_argument("--levels", type=int, default=DEFAULT_CONTOUR_LEVELS,
                    help="contour level count")
     p.add_argument("out_file", metavar="OUTPUT")
     p.set_defaults(fn=cmd_render)

@@ -20,6 +20,7 @@ from pathlib import Path
 from .core import CarrierSpec, GridSpec
 from .cwt import CwtParams, default_scale_grid
 from .errors import ConfigError, FringescaleError
+from .render import DEFAULT_CONTOUR_LEVELS
 from .synth import NoiseSpec, PhantomSpec, RNG_NAME
 from .wft import DemodParams
 
@@ -34,10 +35,7 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
-    s = s.strip()
-    if not s:
-        return ()
-    return tuple(float(tok) for tok in s.split(","))
+    return tuple(float(tok) for tok in s.split(",")) if s.strip() else ()
 
 
 _PARSERS = {
@@ -48,7 +46,8 @@ _PARSERS = {
     "floats": _parse_floats,
 }
 
-# key -> (type name, default). None defaults are derived during resolve.
+# key -> (type name, default). None defaults are derived during resolve;
+# a default the library already defines is read from it.
 SCHEMA: dict[str, tuple[str, object]] = {
     "run.label": ("str", ""),
     "out.dir": ("str", "out"),
@@ -67,26 +66,23 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "input.reference": ("str", ""),
     "input.deformed": ("str", ""),
     "carrier.fx": ("float", 0.125),
-    "carrier.amplitude": ("float", 1.0),
-    "noise.sigma": ("float", 0.0),
-    "noise.seed": ("int", 12345),
+    "noise.sigma": ("float", NoiseSpec.sigma),
+    "noise.seed": ("int", NoiseSpec.seed),
     "noise.rng": ("str", RNG_NAME),
-    "demod.window_sigma": ("float", 10.0),
+    "demod.window_sigma": ("float", DemodParams.window_sigma),
     "demod.band_x_lo": ("float", None),
     "demod.band_x_hi": ("float", None),
-    "demod.band_y_lo": ("float", -0.1),
-    "demod.band_y_hi": ("float", 0.1),
-    "demod.step": ("float", 0.005),
+    "demod.band_y_lo": ("float", DemodParams.band_y[0]),
+    "demod.band_y_hi": ("float", DemodParams.band_y[1]),
+    "demod.step": ("float", DemodParams.step),
     "demod.anchor_x0": ("int", -1),
     "demod.anchor_y0": ("int", -1),
     "demod.anchor_w": ("int", 0),
     "demod.anchor_h": ("int", 0),
     "cwt.scales": ("floats", ()),
-    "cwt.threshold_fraction": ("float", 0.01),
-    "cwt.normalize": ("bool", True),
-    "cwt.pad": ("bool", True),
+    "cwt.threshold_fraction": ("float", CwtParams.threshold_fraction),
     "render.enabled": ("bool", True),
-    "render.contour_levels": ("int", 10),
+    "render.contour_levels": ("int", DEFAULT_CONTOUR_LEVELS),
 }
 
 
@@ -162,7 +158,7 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
             f"noise.rng is pinned to {RNG_NAME!r}, got {cfg['noise.rng']!r}")
     try:
         grid = GridSpec(width=cfg["grid.width"], height=cfg["grid.height"])
-        carrier = CarrierSpec(fx=cfg["carrier.fx"], amplitude=cfg["carrier.amplitude"])
+        carrier = CarrierSpec(fx=cfg["carrier.fx"])
         noise = NoiseSpec(sigma=cfg["noise.sigma"], seed=cfg["noise.seed"])
 
         if cfg["phantom.center_x"] is None:
@@ -220,12 +216,8 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
 
         scales = tuple(cfg["cwt.scales"]) or default_scale_grid()
         cfg["cwt.scales"] = scales
-        cwt = CwtParams(
-            scales=scales,
-            threshold_fraction=cfg["cwt.threshold_fraction"],
-            normalize=cfg["cwt.normalize"],
-            pad=cfg["cwt.pad"],
-        )
+        cwt = CwtParams(scales=scales,
+                        threshold_fraction=cfg["cwt.threshold_fraction"])
         if cfg["render.contour_levels"] < 1:
             raise ConfigError("render.contour_levels must be >= 1")
     except ConfigError:

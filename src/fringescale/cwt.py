@@ -71,7 +71,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .core import PhaseMap, ScalarField
-from .errors import AliasingWarning, AllMaskedError, BadScaleError
+from .errors import AliasingWarning, AllMaskedError, BadScaleError, NumericError
 
 DISPLAY_SCALES = (3.0, 10.0, 50.0, 100.0)
 DEFAULT_SCALE_COUNT = 32
@@ -162,6 +162,7 @@ def _axis_dfts(n: int, alpha: float, half: bool) -> tuple[np.ndarray, np.ndarray
     return fft(g).real, fft(h).real
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finish_plane refuses the result
 def _plane_values(spectrum: np.ndarray, shape: tuple[int, int], alpha: float,
                   rows: slice, cols: slice) -> np.ndarray:
     """Plane at scale alpha from rfft2 of the (padded) input of shape,
@@ -189,11 +190,14 @@ def finish_plane(values: np.ndarray, normalize: bool, fraction: float) -> float:
     zero), so a plane with any signal ends up with peak exactly 1.
     Values whose magnitude is strictly below fraction * peak are then
     zeroed, keeping the boundary value itself; fraction 0 zeroes none.
+    A plane that is not finite raises NumericError.
     """
     # |v / p| is |v| / p exactly, so one magnitude array serves the peak
     # and the threshold
     magnitude = np.abs(values)
     peak, divisor = float(magnitude.max()), 1.0
+    if not np.isfinite(peak):
+        raise NumericError("wavelet plane is not finite; the phase overflows")
     if normalize and peak > 0.0:
         values /= peak
         magnitude /= peak
@@ -278,8 +282,8 @@ class CwtSweep:
                 f.values, ((top, shape[0] - h - top), (left, shape[1] - w - left)),
                 mode="edge"))
             self._shape = shape
-        # masking copies the cropped view into a fresh C-contiguous plane,
-        # finite and 0 at masked pixels, so the field adopts it as it is
+        # np.where makes a fresh C-contiguous plane, 0 at masked pixels, and
+        # finish_plane refuses any that is not finite, so the field adopts it
         out = np.where(self._valid, _plane_values(
             self._spectrum, shape, alpha, slice(top, top + h),
             slice(left, left + w)), 0.0)

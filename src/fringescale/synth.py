@@ -109,7 +109,7 @@ def make_phase(grid: GridSpec, spec: PhantomSpec) -> PhaseMap:
                                  grid.shape).copy()
     elif spec.kind == "gaussian_plume":
         values = _plume(grid, spec)
-    elif spec.kind == "rib_step":
+    else:  # rib_step; PhantomSpec refuses any other kind
         values = _plume(grid, spec)
         if spec.rib_rect is None:
             raise BadSpecError("rib_step phantom needs rib_rect (x0, y0, w, h)")
@@ -120,8 +120,6 @@ def make_phase(grid: GridSpec, spec: PhantomSpec) -> PhaseMap:
         mask = np.ones(grid.shape, dtype=bool)
         mask[y0:y0 + h, x0:x0 + w] = False
         values[~mask] = 0.0
-    else:  # pragma: no cover - PhantomSpec already validates kind
-        raise BadSpecError(f"unknown phantom kind {spec.kind!r}")
     return PhaseMap(ScalarField(grid, values, mask), wrapped=False)
 
 

@@ -352,6 +352,11 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
             raise BadFrequencyError(f"band frequency {f} reaches Nyquist")
     h, w = shape = img.grid.shape
     t, taps = _window_taps(params.window_sigma)
+    # mag2 <= (max|img| (sum w)^2)^2 must stay finite in float32, 4x to spare
+    peak = float(np.abs(img.values).max())
+    if peak * float(taps.sum()) ** 2 >= math.sqrt(np.finfo(np.float32).max) / 2:
+        raise NumericError(
+            f"image magnitude {peak:.3g} overflows the single-precision ridge scan")
     r = len(t) // 2
     nx, ny = (sfft.next_fast_len(max(n + r, 2 * r + 1)) for n in (w, h))
     row_fft = sfft.fft(img.values, n=nx, axis=1).astype(np.complex64)

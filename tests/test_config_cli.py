@@ -46,10 +46,10 @@ class TestParse:
             parse_config_text("grid.width 64\n")
 
     def test_bool_spellings(self):
-        assert parse_config_text("cwt.pad = off\n") == {"cwt.pad": False}
-        assert parse_config_text("cwt.pad = YES\n") == {"cwt.pad": True}
+        assert parse_config_text("render.enabled = off\n") == {"render.enabled": False}
+        assert parse_config_text("render.enabled = YES\n") == {"render.enabled": True}
         with pytest.raises(ConfigError):
-            parse_config_text("cwt.pad = maybe\n")
+            parse_config_text("render.enabled = maybe\n")
 
     def test_float_list(self):
         v = parse_config_text("cwt.scales = 1, 2.5, 10\n")
@@ -222,7 +222,10 @@ class TestCliSynth:
 
     @pytest.mark.parametrize("item", ["cwt.scale_count=32",
                                       "cwt.threshold_mode=small",
-                                      "phantom.file=x.fgrid"])
+                                      "phantom.file=x.fgrid",
+                                      "cwt.pad=false",
+                                      "cwt.normalize=false",
+                                      "carrier.amplitude=2"])
     def test_removed_keys_exit_2(self, tmp_path, capsys, item):
         out = tmp_path / "o"
         assert main(["synth", "--out", str(out), "--set", item]) == 2
@@ -264,6 +267,51 @@ class TestCliDemodCwt:
         assert manifest[0] == "planes 2"
         assert (cwt_out / "plane_000_alpha2.fgrid").exists()
         assert (cwt_out / "plane_001_alpha5.fgrid").exists()
+
+    def test_demod_echo_reproduces_the_run(self, tmp_path):
+        synth_out = tmp_path / "s"
+        assert main(["synth", "--out", str(synth_out)] + FAST) == 0
+        first, again = tmp_path / "d1", tmp_path / "d2"
+        assert main(["demod", "--out", str(first),
+                     "--reference", str(synth_out / "reference.fgrid"),
+                     "--deformed", str(synth_out / "deformed.fgrid")]
+                    + FAST) == 0
+        echo = (first / "config_echo.txt").read_text()
+        assert f"input.reference = {synth_out / 'reference.fgrid'}" in echo
+        assert main(["demod", "--config", str(first / "config_echo.txt"),
+                     "--out", str(again)]) == 0
+        assert ((first / "phase.fgrid").read_bytes()
+                == (again / "phase.fgrid").read_bytes())
+
+    @pytest.mark.parametrize("command", ["demod", "pipeline"])
+    def test_pair_overflowing_the_scan_exits_4(self, tmp_path, capsys, command):
+        # finite, but the single-precision scan's mag2 would overflow
+        synth_out = tmp_path / "s"
+        assert main(["synth", "--out", str(synth_out)] + FAST) == 0
+        big = {}
+        for name in ("reference", "deformed"):
+            big[name] = tmp_path / f"{name}_1e25.fgrid"
+            f = read_field(synth_out / f"{name}.fgrid")
+            write_field(big[name], field_from_array(f.values * 1e25))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out)] + FAST + [
+            "--set", f"input.reference={big['reference']}",
+            "--set", f"input.deformed={big['deformed']}"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "numeric error" in err
+        assert not out.exists()
+
+    def test_phase_overflowing_the_planes_exits_4(self, tmp_path, capsys, rng):
+        p = tmp_path / "huge.fgrid"
+        write_field(p, field_from_array(1e306 * (1.0 + rng.random((32, 32)))))
+        out = tmp_path / "o"
+        assert main(["cwt", "--out", str(out), "--phase", str(p),
+                     "--set", "cwt.scales=2,5"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "numeric error" in err
+        assert not (out / "manifest.txt").exists()
+        assert not list(out.glob("plane_*"))
 
     def test_demod_missing_inputs_exits_2(self, tmp_path):
         assert main(["demod", "--out", str(tmp_path)] + FAST) == 2
