@@ -143,28 +143,32 @@ def _render(out: Path, stem: str, field: ScalarField, levels: int) -> None:
     write_contour_csv(out / f"{stem}_contours.csv", field, levels)
 
 
-def _write_planes(out: Path, rc: cfgmod.ResolvedConfig, sweep: CwtSweep,
-                  shown: frozenset[int] = frozenset()) -> None:
+def _write_planes(rc: cfgmod.ResolvedConfig, sweep: CwtSweep,
+                  shown: frozenset[int] = frozenset()) -> Path:
     """Write each plane as the sweep makes it, rendering those whose index
-    is in shown, then the manifest."""
+    is in shown, then the manifest. The output directory is made once
+    the first plane exists, so a sweep refused at its first plane leaves
+    none."""
     lines = [f"planes {len(sweep)}",
              f"normalized {'true' if rc.cwt.normalize else 'false'}",
              f"thresholded {'true' if rc.cwt.threshold_fraction > 0.0 else 'false'}"]
     for i, (alpha, plane, divisor) in enumerate(sweep):
+        if i == 0:
+            out = _ensure_out(rc)
         stem = f"plane_{i:03d}_alpha{alpha:g}"
         write_field(out / f"{stem}.fgrid", plane)
         lines.append(f"{i} {alpha:.17g} {stem}.fgrid {divisor:.17g}")
         if i in shown:
             _render(out, stem, plane, rc.contour_levels)
     atomic_write_text(out / "manifest.txt", "\n".join(lines) + "\n")
+    return out
 
 
 def cmd_cwt(args: argparse.Namespace) -> int:
     rc = _load_config(args)
     phase = read_image(args.phase)
     sweep = cwt_sweep(phase, rc.cwt)
-    out = _ensure_out(rc)
-    _write_planes(out, rc, sweep)
+    out = _write_planes(rc, sweep)
     _write_echo(rc, out)
     print(f"cwt: wrote {len(sweep)} planes + manifest.txt to {out}")
     return EXIT_OK
@@ -205,7 +209,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if rc.render_enabled:
         _render(out, "phase", phase.field, rc.contour_levels)
         shown = _display_planes(rc.cwt.scales)
-    _write_planes(out, rc, sweep, shown)
+    _write_planes(rc, sweep, shown)
 
     _write_echo(rc, out)
     print(f"pipeline: wrote phase.fgrid + {len(sweep)} planes to {out}")

@@ -21,7 +21,7 @@ from .core import CarrierSpec, GridSpec
 from .cwt import CwtParams, default_scale_grid
 from .errors import ConfigError, FringescaleError
 from .render import DEFAULT_CONTOUR_LEVELS
-from .synth import NoiseSpec, PhantomSpec, RNG_NAME
+from .synth import NoiseSpec, PhantomSpec, RNG_NAME, default_center
 from .wft import DemodParams
 
 
@@ -161,10 +161,10 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
         carrier = CarrierSpec(fx=cfg["carrier.fx"])
         noise = NoiseSpec(sigma=cfg["noise.sigma"], seed=cfg["noise.seed"])
 
-        if cfg["phantom.center_x"] is None:
-            cfg["phantom.center_x"] = grid.width / 2.0
-        if cfg["phantom.center_y"] is None:
-            cfg["phantom.center_y"] = grid.height / 2.0
+        for key, center in zip(("phantom.center_x", "phantom.center_y"),
+                               default_center(grid)):
+            if cfg[key] is None:
+                cfg[key] = center
         kind = cfg["phantom.kind"]
         ref_in = cfg["input.reference"]
         def_in = cfg["input.deformed"]

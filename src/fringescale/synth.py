@@ -86,12 +86,17 @@ class FringePair:
             raise BadSpecError("fringe pair images must share one grid")
 
 
+def default_center(grid: GridSpec) -> tuple[float, float]:
+    """The plume centre (cx, cy) used where PhantomSpec.center is None:
+    the grid centre."""
+    return grid.width / 2.0, grid.height / 2.0
+
+
 def _plume(grid: GridSpec, spec: PhantomSpec) -> np.ndarray:
     if spec.widths is None:
         raise BadSpecError(f"{spec.kind} phantom needs widths (sigma_x, sigma_y)")
     sx, sy = spec.widths
-    cx, cy = spec.center if spec.center is not None else (grid.width / 2.0,
-                                                          grid.height / 2.0)
+    cx, cy = spec.center if spec.center is not None else default_center(grid)
     x = np.arange(grid.width, dtype=np.float64)[None, :]
     y = np.arange(grid.height, dtype=np.float64)[:, None]
     return spec.peak * np.exp(-((x - cx) ** 2 / (2.0 * sx * sx)

@@ -410,19 +410,27 @@ def relative_phase(deformed, reference) -> PhaseMap:
     return PhaseMap(ScalarField(d.grid, diff, mask), wrapped=True)
 
 
-_NONE = np.iinfo(np.intp).max
+def _index_dtype(n: int) -> type:
+    """The integer type of the forest's pixel ids, edge indices and
+    offsets on an n-pixel grid: int32 while every one fits, which holds
+    for n < 2^30 (at most 2n edges; offsets sum turns in {-1, 0, 1} along
+    paths shorter than n), intp beyond."""
+    return np.int32 if n < 2 ** 30 else np.intp
 
 
-def _best_per_label(n: int, labels: np.ndarray, keys: np.ndarray,
-                    index: np.ndarray) -> np.ndarray:
-    """For each label in [0, n), the index with the largest key (the
-    smallest index on ties), or _NONE where the label does not occur."""
-    top = np.full(n, -np.inf)
-    np.maximum.at(top, labels, keys)
-    at_top = keys == top[labels]
-    best = np.full(n, _NONE)
-    np.minimum.at(best, labels[at_top], index[at_top])
-    return best
+def _best_per_label(top: np.ndarray, best: np.ndarray, labels: tuple,
+                    keys: np.ndarray, index: np.ndarray) -> None:
+    """Fill best[label] with the index of the largest key among the
+    entries of that label in any array of labels (the smallest index on
+    ties), or the dtype's max where the label does not occur. Every
+    array of labels is aligned with keys and index; top is scratch."""
+    top.fill(-np.inf)
+    for lab in labels:
+        np.maximum.at(top, lab, keys)
+    best.fill(np.iinfo(best.dtype).max)
+    for lab in labels:
+        at_top = keys == top[lab]
+        np.minimum.at(best, lab[at_top], index[at_top])
 
 
 def _forest_turns(vals: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -435,38 +443,44 @@ def _forest_turns(vals: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndar
     it was hooked, which agrees with the other direction unless the
     wrapped difference lies within rounding of +-pi. Finally each
     component is re-referenced to its best pixel, which gets k = 0.
+    Indices and offsets take _index_dtype(n); the per-pixel buffers are
+    made once and refilled every round.
     """
     h, w = vals.shape
     n = h * w
-    ids = np.arange(n).reshape(h, w)
+    idx = _index_dtype(n)
+    none = np.iinfo(idx).max
+    ids = np.arange(n, dtype=idx)
+    grid = ids.reshape(h, w)
     across = valid[:, :-1] & valid[:, 1:]
     down = valid[:-1] & valid[1:]
-    a = np.concatenate((ids[:, :-1][across], ids[:-1][down]))
-    b = np.concatenate((ids[:, 1:][across], ids[1:][down]))
+    a = np.concatenate((grid[:, :-1][across], grid[:-1][down]))
+    b = np.concatenate((grid[:, 1:][across], grid[1:][down]))
     qf, vf = q.ravel(), vals.ravel()
     rel = qf[a] + qf[b]
-    root = np.arange(n)
-    off = np.zeros(n, dtype=np.int64)
-    live = np.arange(a.size)
+    root = ids.copy()
+    off = np.zeros(n, dtype=idx)
+    live = np.arange(a.size, dtype=idx)
+    parent = np.empty(n, dtype=idx)
+    hook = np.empty(n, dtype=idx)  # k(comp root) - k(parent root)
+    top = np.empty(n)
+    best = np.empty(n, dtype=idx)
     while True:
-        ra, rb = root[a[live]], root[b[live]]
-        cross = ra != rb
-        live, ra, rb = live[cross], ra[cross], rb[cross]
+        live = live[root[a[live]] != root[b[live]]]
         if not live.size:
             break
-        best = _best_per_label(n, np.concatenate((ra, rb)),
-                               np.tile(rel[live], 2), np.tile(live, 2))
-        comps = np.flatnonzero(best != _NONE)
+        _best_per_label(top, best, (root[a[live]], root[b[live]]), rel[live], live)
+        comps = np.flatnonzero(best != none)
         e = best[comps]
         from_a = root[a[e]] == comps
         inner = np.where(from_a, a[e], b[e])
         outer = np.where(from_a, b[e], a[e])
-        parent = np.arange(n)
+        parent[:] = ids
         parent[comps] = root[outer]
         # the hooked edge's turn k(inner) - k(outer): wrap(d) = d - 2 pi m
         # with m = ceil((d - pi) / 2 pi), the (-pi, pi] representative
-        turn = -np.ceil((vf[inner] - vf[outer] - math.pi) / TWO_PI).astype(np.int64)
-        hook = np.zeros(n, dtype=np.int64)  # k(comp root) - k(parent root)
+        turn = -np.ceil((vf[inner] - vf[outer] - math.pi) / TWO_PI).astype(idx)
+        hook.fill(0)
         hook[comps] = off[outer] + turn - off[inner]
         # two components that picked the same edge: the lower label stays root
         mutual = (parent[parent[comps]] == comps) & (comps < parent[comps])
@@ -481,10 +495,10 @@ def _forest_turns(vals: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndar
             parent[comps] = up2
         off += hook[root]
         root = parent[root]
-    pix = np.flatnonzero(valid)
-    seed = _best_per_label(n, root[pix], qf[pix], pix)
-    k = np.zeros(n, dtype=np.int64)
-    k[pix] = off[pix] - off[seed[root[pix]]]
+    pix = ids[valid.ravel()]
+    _best_per_label(top, best, (root[pix],), qf[pix], pix)
+    k = np.zeros(n, dtype=idx)
+    k[pix] = off[pix] - off[best[root[pix]]]
     return k.reshape(h, w)
 
 
@@ -497,6 +511,11 @@ def unwrap(p: PhaseMap, quality: ScalarField | np.ndarray | None = None) -> Phas
     input value at its best pixel (first in row-major order on quality
     ties). Masked pixels are left untouched. Deterministic. Raises
     NumericError when quality is not finite at a valid pixel.
+
+    Pixel ids, edge indices and turn offsets are int32 below 2^30
+    pixels (intp beyond). The forest's allocation peak is then about
+    128 bytes per pixel, 33 MB at 512^2 (tracemalloc), on top of the
+    input, the quality map and the output.
     """
     if not p.wrapped:
         raise ValueError("unwrap expects a wrapped phase map")

@@ -14,7 +14,9 @@ and a 5-smooth length (every plane on one grid edge-padded by
 over its valid pixels by normalize_plane and threshold_plane).
 wide_pad_plane is the reference for the edges of the planes whose hat
 reaches past their padding: a grid so wide that no kept pixel's hat
-wraps.
+wraps. int64_forest_turns is the reliability-forest unwrap as it ran
+with 64-bit indices and per-round copies, the byte-for-byte reference
+for the forest that replaced it.
 """
 
 import heapq
@@ -110,6 +112,88 @@ def flood_fill_unwrap(vals, quality, valid):
                     heapq.heappush(heap, (-qrow[ny][nx], ny, nx, cy, cx))
     out = vals + TWO_PI * np.array(krow, dtype=np.float64)
     return np.where(valid, out, vals)
+
+
+# The forest unwrap as it ran before its index arrays moved to 32 bits
+# and its Boruvka rounds stopped tiling keys and reallocating buffers:
+# int64 ids, one _best_per_label pass over the concatenated labels of
+# both edge ends, fresh parent and hook arrays in every round.
+_NONE = np.iinfo(np.intp).max
+
+
+def _best_per_label(n: int, labels: np.ndarray, keys: np.ndarray,
+                    index: np.ndarray) -> np.ndarray:
+    """For each label in [0, n), the index with the largest key (the
+    smallest index on ties), or _NONE where the label does not occur."""
+    top = np.full(n, -np.inf)
+    np.maximum.at(top, labels, keys)
+    at_top = keys == top[labels]
+    best = np.full(n, _NONE)
+    np.minimum.at(best, labels[at_top], index[at_top])
+    return best
+
+
+def int64_forest_turns(vals: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Integer 2 pi turns per pixel along the maximum-reliability forest.
+
+    Each component has a root pixel, and each pixel its offset
+    k(pixel) - k(root). A Boruvka round hooks every component onto the
+    component across its best edge; pointer jumping then carries the
+    offsets to the new roots. Each edge's turn is taken in the direction
+    it was hooked, which agrees with the other direction unless the
+    wrapped difference lies within rounding of +-pi. Finally each
+    component is re-referenced to its best pixel, which gets k = 0.
+    """
+    h, w = vals.shape
+    n = h * w
+    ids = np.arange(n).reshape(h, w)
+    across = valid[:, :-1] & valid[:, 1:]
+    down = valid[:-1] & valid[1:]
+    a = np.concatenate((ids[:, :-1][across], ids[:-1][down]))
+    b = np.concatenate((ids[:, 1:][across], ids[1:][down]))
+    qf, vf = q.ravel(), vals.ravel()
+    rel = qf[a] + qf[b]
+    root = np.arange(n)
+    off = np.zeros(n, dtype=np.int64)
+    live = np.arange(a.size)
+    while True:
+        ra, rb = root[a[live]], root[b[live]]
+        cross = ra != rb
+        live, ra, rb = live[cross], ra[cross], rb[cross]
+        if not live.size:
+            break
+        best = _best_per_label(n, np.concatenate((ra, rb)),
+                               np.tile(rel[live], 2), np.tile(live, 2))
+        comps = np.flatnonzero(best != _NONE)
+        e = best[comps]
+        from_a = root[a[e]] == comps
+        inner = np.where(from_a, a[e], b[e])
+        outer = np.where(from_a, b[e], a[e])
+        parent = np.arange(n)
+        parent[comps] = root[outer]
+        # the hooked edge's turn k(inner) - k(outer): wrap(d) = d - 2 pi m
+        # with m = ceil((d - pi) / 2 pi), the (-pi, pi] representative
+        turn = -np.ceil((vf[inner] - vf[outer] - math.pi) / TWO_PI).astype(np.int64)
+        hook = np.zeros(n, dtype=np.int64)  # k(comp root) - k(parent root)
+        hook[comps] = off[outer] + turn - off[inner]
+        # two components that picked the same edge: the lower label stays root
+        mutual = (parent[parent[comps]] == comps) & (comps < parent[comps])
+        parent[comps[mutual]] = comps[mutual]
+        hook[comps[mutual]] = 0
+        while True:
+            up = parent[comps]
+            up2 = parent[up]
+            if np.array_equal(up, up2):
+                break
+            hook[comps] += hook[up]
+            parent[comps] = up2
+        off += hook[root]
+        root = parent[root]
+    pix = np.flatnonzero(valid)
+    seed = _best_per_label(n, root[pix], qf[pix], pix)
+    k = np.zeros(n, dtype=np.int64)
+    k[pix] = off[pix] - off[seed[root[pix]]]
+    return k.reshape(h, w)
 
 
 def _interp(c0, c1, level):

@@ -313,6 +313,14 @@ class TestCliDemodCwt:
         assert not (out / "manifest.txt").exists()
         assert not list(out.glob("plane_*"))
 
+    def test_phase_overflowing_the_first_plane_leaves_no_directory(self, tmp_path,
+                                                                   rng):
+        p = tmp_path / "huge.fgrid"
+        write_field(p, field_from_array(1e306 * (1.0 + rng.random((32, 32)))))
+        out = tmp_path / "o"
+        assert main(["cwt", "--out", str(out), "--phase", str(p)]) == 4
+        assert not out.exists()
+
     def test_demod_missing_inputs_exits_2(self, tmp_path):
         assert main(["demod", "--out", str(tmp_path)] + FAST) == 2
 

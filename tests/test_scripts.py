@@ -55,6 +55,17 @@ def test_scan_scaling():
     assert float(seconds) > 0 and 0 < float(share) <= 1
 
 
+def test_unwrap_scaling():
+    proc = run_script("unwrap_scaling.py", "--sizes", "48", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    head, row = proc.stdout.splitlines()
+    assert head.split() == ["size", "old_s", "new_s", "old_peak_mb", "new_peak_mb",
+                            "same_turns"]
+    size, old_s, new_s, old_mb, new_mb, same = row.split()
+    assert size == "48" and same == "yes"
+    assert float(old_s) >= 0 and float(new_s) >= 0
+    assert 0 < float(new_mb) < float(old_mb)
+
 def test_cwt_scaling():
     proc = run_script("cwt_scaling.py", "--sizes", "48", "--repeat", "1")
     assert proc.returncode == 0, proc.stderr

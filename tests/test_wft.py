@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from fringescale import wft
 from fringescale.core import TWO_PI
 from fringescale.synth import NoiseSpec
 from fringescale.wft import frequency_grid
-from oracles import (float64_demodulate, flood_fill_unwrap, sequential_demodulate,
-                     windowed_response)
+from oracles import (float64_demodulate, flood_fill_unwrap, int64_forest_turns,
+                     sequential_demodulate, windowed_response)
 
 
 def brute_response(img, u, v, sigma, x1, y1):
@@ -645,6 +646,98 @@ class TestUnwrapMatchesFloodFill:
         np.testing.assert_allclose(forest - flood, TWO_PI * turns, atol=1e-9)
         assert differ <= 17
         assert abs(rms(forest) - rms(flood)) < 1e-3
+
+
+def forest_inputs(name, n=64):
+    """Wrapped values (0 at masked pixels) and validity of one named
+    forest input on an n x n grid, from a generator seeded by its name."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    valid = np.ones((n, n), dtype=bool)
+    if name == "masked_noisy":  # an 8-turn plume, noise enough for residues
+        truth = plume_phase(GridSpec(n, n), 16 * math.pi, n / 5).field.values
+        vals = wrap_phase(truth + rng.normal(scale=0.6, size=(n, n)))
+        valid = rng.random((n, n)) >= 0.2
+    elif name == "disconnected":  # four islands and lone pixels
+        vals = wrap_phase(smooth_field(rng, n, n))
+        valid[n // 3] = valid[:, n // 2] = False
+        lone = np.zeros((n, n), dtype=bool)
+        lone[3::7, 3::7] = True
+        valid &= ~(np.roll(lone, 1, 0) | np.roll(lone, -1, 0)
+                   | np.roll(lone, 1, 1) | np.roll(lone, -1, 1))
+    elif name == "pi_ties":  # quarter turns: many steps of exactly +-pi
+        vals = wrap_phase(rng.integers(-4, 5, (n, n)) * (math.pi / 2))
+    else:  # the rib step's relative phase, as the pipeline unwraps it
+        _, pair = rib_step_pair(n, 0.1)
+        params = DemodParams.for_carrier(0.125)
+        wrapped = relative_phase(demodulate(pair.deformed, params),
+                                 demodulate(pair.reference, params))
+        return wrapped.field.values, wrapped.field.valid()
+    return np.where(valid, vals, 0.0), valid
+
+
+@functools.cache
+def ridge_quality(n=64):
+    """The ridge amplitude of the n x n rib step's deformed image."""
+    _, pair = rib_step_pair(n, 0.1)
+    return demodulate(pair.deformed, DemodParams.for_carrier(0.125)).ridge_amplitude.values
+
+
+class TestForestMatchesInt64Oracle:
+    """The forest on 32-bit indices and buffers made once against the
+    int64 forest it replaced (tests/oracles.py): the same turns, and so
+    the same unwrapped bytes, ties included."""
+
+    def check(self, vals, q, valid):
+        want = int64_forest_turns(vals, q, valid)
+        got = wft._forest_turns(vals, q, valid)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+        p = PhaseMap(field_from_array(vals, valid), wrapped=True)
+        out = unwrap(p, quality=q).field.values
+        assert out.tobytes() == (vals + TWO_PI * want.astype(np.float64)).tobytes()
+
+    @pytest.mark.parametrize("quality", ["uniform", "ridge", "tied"])
+    @pytest.mark.parametrize("name", ["masked_noisy", "disconnected", "pi_ties",
+                                      "rib_relative"])
+    def test_equal_turns(self, name, quality):
+        vals, valid = forest_inputs(name)
+        q = {"uniform": lambda: np.zeros(vals.shape),
+             "ridge": ridge_quality,
+             "tied": lambda: np.random.default_rng(7).integers(0, 3, vals.shape)
+             .astype(float)}[quality]()
+        self.check(vals, q, valid)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(8, 24), st.integers(8, 24),
+           st.floats(0.0, 0.6), st.booleans())
+    def test_equal_turns_on_random_maps(self, seed, h, w, hole_share, tied):
+        rng = np.random.default_rng(seed)
+        valid = rng.random((h, w)) >= hole_share
+        valid.flat[rng.integers(h * w)] = True
+        vals = np.where(valid, wrap_phase(rng.uniform(-10, 10, (h, w))), 0.0)
+        q = rng.integers(0, 3, (h, w)).astype(float) if tied else rng.random((h, w))
+        self.check(vals, q, valid)
+
+    def test_alloc_peak_under_six_tenths_of_the_oracle(self):
+        # measured at 256^2: 8.4 MB against 16.5 MB (0.51x)
+        vals, valid = forest_inputs("masked_noisy", 256)
+        q = np.random.default_rng(3).random(vals.shape)
+
+        def alloc_peak(forest):
+            tracemalloc.start()
+            try:
+                forest(vals, q, valid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert alloc_peak(wft._forest_turns) <= 0.6 * alloc_peak(int64_forest_turns)
+
+    def test_index_dtype_is_int32_below_two_to_the_30_pixels(self):
+        limit = 2 ** 30
+        assert wft._index_dtype(1) is np.int32
+        assert wft._index_dtype(limit - 1) is np.int32
+        assert wft._index_dtype(limit) is np.intp
+        assert wft._index_dtype(4 * limit) is np.intp
 
 
 class TestAnchorFarField:
