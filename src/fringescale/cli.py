@@ -100,9 +100,9 @@ def _demod_phase(rc: cfgmod.ResolvedConfig, reference: ScalarField,
                  deformed: ScalarField):
     """The phase-recovery chain: ridge demod of both images, the wrapped
     relative phase, its quality-guided unwrap and the optional anchor."""
-    ref_ridge = demodulate(reference, rc.demod)
+    ref_phase = demodulate(reference, rc.demod).phase
     dfm_ridge = demodulate(deformed, rc.demod)
-    phase = unwrap(relative_phase(dfm_ridge, ref_ridge),
+    phase = unwrap(relative_phase(dfm_ridge, ref_phase),
                    quality=dfm_ridge.ridge_amplitude)
     if rc.anchor is not None:
         phase = anchor_far_field(phase, rc.anchor)

@@ -38,6 +38,13 @@ alpha * psi_hat(alpha w) is not this multiplier: it leaves out the part
 of the spectrum that sampling folds back from beyond Nyquist, ~10% of
 it at alpha = 1.
 
+Each plane multiplies and inverts only the box of the half spectrum
+with alpha |w| <= HAT_BAND = 9.5 along both axes, plus one bin: beyond
+it the multiplier is below 1e-17 of its peak, and the inverse FFT
+zero-fills it (a pruned FFT; Markel, IEEE Trans. Audio Electroacoust. 19,
+305, 1971). Planes whose box is the whole half spectrum, alpha below ~3,
+equal irfft2 bit for bit; the others differ from it by rounding only.
+
 For production runs on real phase maps the input is edge-padded and
 the plane cropped after the transform to suppress wraparound, while
 oracle and covariance tests run unpadded so the periodic convention is
@@ -80,6 +87,10 @@ DEFAULT_SCALE_RANGE = (1.0, 100.0)
 # Half-width, in units of alpha, over which the hat is summed when it is
 # periodized; (2 - t^2) exp(-t^2 / 2) is below 2e-20 beyond it.
 HAT_REACH = 10.0
+
+# alpha |w| past which a plane drops the spectrum: the multiplier's shape
+# |w|^2 exp(-|w|^2 / 2) is 3.1e-18 of its peak 2/e at 9.5, below 1e-17.
+HAT_BAND = 9.5
 
 
 def mexican_hat(x, y):
@@ -168,17 +179,24 @@ def _plane_values(spectrum: np.ndarray, shape: tuple[int, int], alpha: float,
     """Plane at scale alpha from rfft2 of the (padded) input of shape,
     cropped to rows and cols.
 
-    The inverse transform runs as irfft2 does, a complex ifft down the
-    columns and then a real irfft along the rows, but the row pass only
-    covers the rows kept, so the result equals irfft2 then crop bit for
-    bit. The column pass overwrites the product spectrum.
+    Only the bins |k| < ceil(HAT_BAND L / (2 pi alpha)) + 1 along each
+    axis of L are multiplied; past them the multiplier is below 1e-17 of
+    its peak. That box sits in an (Ly, kx) buffer, 0 in its other rows;
+    an ifft runs down its kx columns, then an irfft with n = Lx along the
+    rows kept zero-fills the rest. When the box is the whole half
+    spectrum, the plane equals irfft2 then crop bit for bit.
     """
-    gy, hy = _axis_dfts(shape[0], alpha, half=False)
-    gx, hx = _axis_dfts(shape[1], alpha, half=True)
-    product = spectrum * ((gy[:, None] * (2.0 * gx - hx)[None, :]
-                           - hy[:, None] * gx[None, :]) / alpha)
+    ly, lx = shape
+    ky, kx = (min(n // 2 + 1, int(np.ceil(HAT_BAND * n / (2.0 * np.pi * alpha))) + 1)
+              for n in shape)
+    gy, hy = _axis_dfts(ly, alpha, half=False)
+    gx, hx = (v[:kx] for v in _axis_dfts(lx, alpha, half=True))
+    product = np.zeros((ly, kx), dtype=spectrum.dtype)
+    for part in (slice(0, ky), slice(ly - ky + 1, ly)):
+        product[part] = spectrum[part, :kx] * ((gy[part, None] * (2.0 * gx - hx)[None, :]
+                                                - hy[part, None] * gx[None, :]) / alpha)
     product = sfft.ifft(product, axis=0, overwrite_x=True)[rows]
-    return sfft.irfft(product, n=shape[1], axis=1)[:, cols]
+    return sfft.irfft(product, n=lx, axis=1)[:, cols]
 
 
 def finish_plane(values: np.ndarray, normalize: bool, fraction: float) -> float:

@@ -14,9 +14,13 @@ and a 5-smooth length (every plane on one grid edge-padded by
 over its valid pixels by normalize_plane and threshold_plane).
 wide_pad_plane is the reference for the edges of the planes whose hat
 reaches past their padding: a grid so wide that no kept pixel's hat
-wraps. int64_forest_turns is the reliability-forest unwrap as it ran
-with 64-bit indices and per-round copies, the byte-for-byte reference
-for the forest that replaced it.
+wraps. full_spectrum_plane is the plane as it was made before it
+multiplied and inverted only the band its hat does not zero: the whole
+half spectrum times the whole multiplier, and full_spectrum_sweep is
+the sweep on the same padded grids with every plane made that way.
+int64_forest_turns is the reliability-forest unwrap as it ran with
+64-bit indices and per-round copies, the byte-for-byte reference for
+the forest that replaced it.
 """
 
 import heapq
@@ -29,7 +33,7 @@ from scipy import fft as sfft
 from fringescale import (AllMaskedError, PhaseMap, RidgeResult, ScalarField,
                          masked_extrema, mexican_hat, wrap_phase)
 from fringescale.contours import contour_levels, marching_squares
-from fringescale.cwt import HAT_REACH
+from fringescale.cwt import HAT_REACH, CwtSweep, _axis_dfts, finish_plane
 from fringescale.core import TWO_PI
 from fringescale.wft import WINDOW_TRUNCATION_SIGMAS, frequency_grid
 
@@ -553,3 +557,33 @@ def edge_band_errors(values, ref, alpha, valid):
     depth = np.minimum(np.minimum(i, h - 1 - i), np.minimum(j, w - 1 - j))
     err = np.abs(values - ref)[valid & (depth < 3.0 * alpha)]
     return float(err.max()), float(np.sqrt(np.mean(err * err)))
+
+
+def full_spectrum_plane(spectrum, shape, alpha, rows, cols):
+    """Plane at scale alpha from rfft2 of the (padded) input of shape,
+    cropped to rows and cols: the whole half spectrum times the whole
+    multiplier, a complex ifft down every column and a real irfft along
+    the rows kept, which equals irfft2 then crop bit for bit."""
+    gy, hy = _axis_dfts(shape[0], alpha, half=False)
+    gx, hx = _axis_dfts(shape[1], alpha, half=True)
+    product = spectrum * ((gy[:, None] * (2.0 * gx - hx)[None, :]
+                           - hy[:, None] * gx[None, :]) / alpha)
+    product = sfft.ifft(product, axis=0, overwrite_x=True)[rows]
+    return sfft.irfft(product, n=shape[1], axis=1)[:, cols]
+
+
+def full_spectrum_sweep(field, params):
+    """The sweep on the padded grids CwtSweep picks, with every plane from
+    full_spectrum_plane, then masked and finished by finish_plane:
+    (alpha, plane values, divisor) per scale."""
+    grid_of = CwtSweep(field, params)._grid
+    (h, w), valid = field.grid.shape, field.valid()
+    for alpha in params.scales:
+        shape, (top, left) = grid_of(alpha)
+        spectrum = sfft.rfft2(np.pad(
+            field.values, ((top, shape[0] - h - top), (left, shape[1] - w - left)),
+            mode="edge"))
+        out = np.where(valid, full_spectrum_plane(
+            spectrum, shape, alpha, slice(top, top + h), slice(left, left + w)), 0.0)
+        divisor = finish_plane(out, params.normalize, params.threshold_fraction)
+        yield alpha, out, divisor

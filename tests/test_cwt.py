@@ -17,9 +17,17 @@ from fringescale import (
     mexican_hat,
     mexican_hat_spectrum,
 )
-from fringescale.cwt import HAT_REACH, finish_plane
-from oracles import (brute_cwt_plane, edge_band_errors, uniform_pad_sweep,
-                     wide_pad_plane)
+from fringescale.cwt import HAT_BAND, HAT_REACH, _axis_dfts, finish_plane
+from oracles import (brute_cwt_plane, edge_band_errors, full_spectrum_sweep,
+                     uniform_pad_sweep, wide_pad_plane)
+
+# A plane that keeps only the band its hat does not zero is within this
+# fraction of its peak of the plane from the whole spectrum: 4.5x the
+# largest gap measured, 8.9e-16 on the README quick-start's 512^2 planes
+# (7.8e-16 on the 768^2 rib plume of scripts/cwt_scaling.py, 6.7e-16 at
+# 192^2 and 256^2, 4.4e-16 on the 70 x 53 ramp unpadded). It also bounds
+# the relative gap of the divisors (2.8e-16 measured).
+BAND_GAP = 4e-15
 
 
 class TestWaveletIdentities:
@@ -299,6 +307,39 @@ def _masked_rib_plume(n, rng):
     return field_from_array(np.where(mask, vals, 0.0), mask)
 
 
+def _band(n, alpha):
+    """A plane at alpha keeps the bins |k| < _band(n, alpha) on an axis of
+    n bins: those with alpha |w| <= HAT_BAND, plus one; n // 2 + 1 keeps
+    them all."""
+    return min(n // 2 + 1, math.ceil(HAT_BAND * n / (2.0 * math.pi * alpha)) + 1)
+
+
+def _keeps_all(shape, alpha):
+    """Whether the plane at alpha on a grid of shape keeps its whole half
+    spectrum, and so equals the full-spectrum plane bit for bit."""
+    return all(_band(n, alpha) == n // 2 + 1 for n in shape)
+
+
+def _is_full_spectrum_plane(shape, alpha, got, want, fraction):
+    """Check the plane got at alpha on a padded grid of shape against want
+    from the whole spectrum, each a (values, divisor) pair, and return
+    whether got's plane was cut to a band. An uncut plane matches bit for
+    bit. A cut one, and its divisor, stay within BAND_GAP of want's, and
+    no pixel is below fraction of its plane's peak in one and not the
+    other."""
+    (g, divisor), (w, want_divisor) = got, want
+    if _keeps_all(shape, alpha):
+        assert divisor == want_divisor, alpha
+        np.testing.assert_array_equal(g, w)
+        return False
+    assert abs(divisor - want_divisor) <= BAND_GAP * want_divisor, alpha
+    peaks = np.abs(g).max(), np.abs(w).max()
+    assert np.abs(g - w).max() <= BAND_GAP * peaks[1], alpha
+    below = [np.abs(v) < fraction * m for v, m in zip((g, w), peaks)]
+    assert np.array_equal(*below), np.argwhere(below[0] != below[1])
+    return True
+
+
 def _wraps(alpha, scales):
     """Whether the hat reach at alpha is not below the capped margin, so
     the plane's edge values depend on how its padded grid wraps."""
@@ -355,12 +396,16 @@ class TestSweepMatchesUniformPadOracle:
             assert np.abs(got.values - want.values).max() <= 1e-12 * scale, alpha
 
     def test_unpadded_sweep_is_the_oracle(self, rng):
+        # the planes at 5.5 and 10 keep only the band their hat does not
+        # zero; the others keep the whole half spectrum
         f = _masked_ramp(70, 53, rng)
         params = CwtParams(scales=self.SCALES, pad=False)
-        for (_, got, divisor), (_, want, want_divisor) in zip(
-                cwt_sweep(f, params), uniform_pad_sweep(f, params)):
-            assert divisor == want_divisor
-            np.testing.assert_array_equal(got.values, want.values)
+        cut = [alpha for (alpha, got, divisor), (_, want, want_divisor) in zip(
+                   cwt_sweep(f, params), uniform_pad_sweep(f, params))
+               if _is_full_spectrum_plane(f.grid.shape, alpha, (got.values, divisor),
+                                          (want.values, want_divisor),
+                                          params.threshold_fraction)]
+        assert cut == [5.5, 10.0]
 
     @pytest.mark.parametrize("pad", [True, False])
     def test_single_plane_is_the_oracle(self, rng, pad):
@@ -373,7 +418,11 @@ class TestSweepMatchesUniformPadOracle:
             (_, want, _), = uniform_pad_sweep(f, params)
             got = cwt_plane(f, alpha, pad=pad).values
             if not pad:
-                np.testing.assert_array_equal(got, want.values)
+                # 4.5 keeps only the band its hat does not zero
+                cut = _is_full_spectrum_plane(f.grid.shape, alpha, (got, 1.0),
+                                              (want.values, 1.0),
+                                              CwtParams((alpha,)).threshold_fraction)
+                assert cut == (alpha == 4.5)
                 continue
             ref = wide_pad_plane(f, alpha)
             _assert_edges_no_worse(got, want.values, ref, alpha, f.valid(),
@@ -414,6 +463,66 @@ class TestSweepMatchesUniformPadOracle:
                 tracemalloc.stop()
 
         assert alloc_peak(cwt_sweep) <= alloc_peak(uniform_pad_sweep)
+
+
+def _exact_axis_dfts(n, alpha):
+    """The DFTs (G, H) that _axis_dfts computes, on the full axis, from
+    their Poisson sums: G_k = sum_j alpha sqrt(2 pi) exp(-(alpha w)^2 / 2)
+    and H_k = sum_j alpha sqrt(2 pi) (1 - (alpha w)^2) exp(-(alpha w)^2 / 2)
+    at w = 2 pi (k / n + j). Every bin carries its own relative rounding
+    only, so the tails are exact where the FFT's are rounding noise."""
+    w = 2.0 * np.pi * (np.fft.fftfreq(n)[:, None] + np.arange(-3, 4)[None, :])
+    aw2 = (alpha * w) ** 2
+    g = alpha * math.sqrt(2.0 * math.pi) * np.exp(-0.5 * aw2)
+    return g.sum(axis=1), ((1.0 - aw2) * g).sum(axis=1)
+
+
+def _multiplier(gy, hy, gx, hx, alpha):
+    return (gy[:, None] * (2.0 * gx - hx)[None, :] - hy[:, None] * gx[None, :]) / alpha
+
+
+class TestBandLimit:
+    @pytest.mark.parametrize("n", [53, 70, 450, 1200])
+    def test_cut_bins_are_below_1e_17_of_the_peak(self, n):
+        # every default scale, plus the one whose box fills the axis with
+        # no room to spare: ceil(HAT_BAND n / (2 pi alpha)) = n // 2
+        fill = HAT_BAND * n / (2.0 * math.pi * (n // 2 - 0.5))
+        assert math.ceil(HAT_BAND * n / (2.0 * math.pi * fill)) + 1 == n // 2 + 1
+        alphas = sorted(default_scale_grid() + (fill,))
+        cut = 0
+        for alpha in alphas:
+            k = _band(n, alpha)
+            keep = np.abs(np.fft.fftfreq(n) * n) < k
+            outside = ~(keep[:, None] & keep[None, :])
+            exact = _multiplier(*_exact_axis_dfts(n, alpha), *_exact_axis_dfts(n, alpha),
+                                alpha)
+            got = _multiplier(*_axis_dfts(n, alpha, half=False),
+                              *_axis_dfts(n, alpha, half=False), alpha)
+            # the multiplier is alpha psi_hat(alpha w) up to aliasing, whose
+            # peak is 4 pi alpha / e; the FFTs reach the exact multiplier to
+            # their rounding (2.2e-15 of the peak at most, measured), and
+            # the bins the cut drops hold that rounding only (3.7e-16)
+            peak = 4.0 * math.pi * alpha / math.e
+            assert np.abs(got - exact).max() <= 1e-14 * peak, alpha
+            if alpha == fill or alpha <= 3.0:
+                assert k == n // 2 + 1 and not outside.any(), alpha
+                continue
+            assert np.abs(exact[outside]).max() <= 1e-17 * np.abs(exact).max(), alpha
+            assert np.abs(got[outside]).max() <= 1e-15 * peak, alpha
+            cut += outside.any()
+        assert cut == sum(a > 3.0 for a in alphas) - (fill > 3.0)
+
+    def test_padded_rib_plume_sweep_is_the_full_spectrum_sweep(self, rng):
+        # the 8 scales up to 3 keep their whole half spectrum
+        f = _masked_rib_plume(192, rng)
+        params = CwtParams(scales=default_scale_grid())
+        sweep = cwt_sweep(f, params)
+        cut = [alpha for (alpha, got, divisor), (_, want, want_divisor) in zip(
+                   sweep, full_spectrum_sweep(f, params))
+               if _is_full_spectrum_plane(sweep._grid(alpha)[0], alpha,
+                                          (got.values, divisor), (want, want_divisor),
+                                          params.threshold_fraction)]
+        assert len(cut) == 24
 
 
 class TestPaddedGrid:

@@ -69,9 +69,13 @@ def test_unwrap_scaling():
 def test_cwt_scaling():
     proc = run_script("cwt_scaling.py", "--sizes", "48", "--repeat", "1")
     assert proc.returncode == 0, proc.stderr
-    head, columns, *rows = proc.stdout.splitlines()
+    head, band, columns, *rows = proc.stdout.splitlines()
     assert head.startswith("size 48  sweep_s ")
     assert head.endswith("wrapping planes on 448^2 before, 450^2 now")
+    words = band.split()
+    assert words[:5] == ["band", "gap", "to", "the", "full"]
+    assert 0.0 < float(words[6]) <= 4e-15  # tests/test_cwt.py BAND_GAP
+    assert " 0 threshold crossings" in band
     assert columns.split() == ["alpha", "old_max", "new_max", "old_rms", "new_rms"]
     assert len(rows) == 11
     assert all(math.isfinite(float(v)) for row in rows for v in row.split())
