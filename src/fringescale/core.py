@@ -173,6 +173,22 @@ def wrap_phase(x):
     return out
 
 
+def next_fast_len(n: int, real: bool = False) -> int:
+    """The smallest length >= n with no prime factor above 5 (real=True)
+    or 11 (real=False): the lengths pocketfft transforms fastest, the
+    same that scipy.fft.next_fast_len picks."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    m = max(n, 1)
+    while True:
+        k = m
+        for p in primes:
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 def masked_extrema(f: ScalarField) -> tuple[float, float]:
     """(min, max) over valid pixels. Raises AllMaskedError when none exist."""
     valid = f.valid()

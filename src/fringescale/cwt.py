@@ -43,7 +43,14 @@ with alpha |w| <= HAT_BAND = 9.5 along both axes, plus one bin: beyond
 it the multiplier is below 1e-17 of its peak, and the inverse FFT
 zero-fills it (a pruned FFT; Markel, IEEE Trans. Audio Electroacoust. 19,
 305, 1971). Planes whose box is the whole half spectrum, alpha below ~3,
-equal irfft2 bit for bit; the others differ from it by rounding only.
+equal np.fft.irfft2 then crop bit for bit; the others differ from it by
+rounding only.
+
+Every transform is numpy.fft's pocketfft. The padded spectrum is an
+rfft along the rows, then an fft down the columns in place (out=),
+which is np.fft.rfft2 bit for bit without its second array; a plane is
+an ifft down the kept columns in place, then an irfft along the kept
+rows.
 
 For production runs on real phase maps the input is edge-padded and
 the plane cropped after the transform to suppress wraparound, while
@@ -75,9 +82,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
-from .core import PhaseMap, ScalarField
+from .core import PhaseMap, ScalarField, next_fast_len
 from .errors import AliasingWarning, AllMaskedError, BadScaleError, NumericError
 
 DISPLAY_SCALES = (3.0, 10.0, 50.0, 100.0)
@@ -173,18 +179,17 @@ def _axis_dfts(n: int, alpha: float, half: bool) -> tuple[np.ndarray, np.ndarray
     return fft(g).real, fft(h).real
 
 
-@np.errstate(over="ignore", invalid="ignore")  # finish_plane refuses the result
 def _plane_values(spectrum: np.ndarray, shape: tuple[int, int], alpha: float,
                   rows: slice, cols: slice) -> np.ndarray:
-    """Plane at scale alpha from rfft2 of the (padded) input of shape,
-    cropped to rows and cols.
+    """Plane at scale alpha from the real 2-D spectrum (np.fft.rfft2's
+    layout) of the (padded) input of shape, cropped to rows and cols.
 
     Only the bins |k| < ceil(HAT_BAND L / (2 pi alpha)) + 1 along each
     axis of L are multiplied; past them the multiplier is below 1e-17 of
     its peak. That box sits in an (Ly, kx) buffer, 0 in its other rows;
     an ifft runs down its kx columns, then an irfft with n = Lx along the
     rows kept zero-fills the rest. When the box is the whole half
-    spectrum, the plane equals irfft2 then crop bit for bit.
+    spectrum, the plane equals np.fft.irfft2 then crop bit for bit.
     """
     ly, lx = shape
     ky, kx = (min(n // 2 + 1, int(np.ceil(HAT_BAND * n / (2.0 * np.pi * alpha))) + 1)
@@ -195,8 +200,8 @@ def _plane_values(spectrum: np.ndarray, shape: tuple[int, int], alpha: float,
     for part in (slice(0, ky), slice(ly - ky + 1, ly)):
         product[part] = spectrum[part, :kx] * ((gy[part, None] * (2.0 * gx - hx)[None, :]
                                                 - hy[part, None] * gx[None, :]) / alpha)
-    product = sfft.ifft(product, axis=0, overwrite_x=True)[rows]
-    return sfft.irfft(product, n=lx, axis=1)[:, cols]
+    product = np.fft.ifft(product, axis=0, out=product)[rows]
+    return np.fft.irfft(product, n=lx, axis=1)[:, cols]
 
 
 def finish_plane(values: np.ndarray, normalize: bool, fraction: float) -> float:
@@ -287,18 +292,20 @@ class CwtSweep:
         """
         h, w = self._field.grid.shape
         margin = min(int(np.ceil(HAT_REACH * alpha)), self._max_margin)
-        shape = tuple(sfft.next_fast_len(n + 2 * margin, real=True) if margin else n
+        shape = tuple(next_fast_len(n + 2 * margin, real=True) if margin else n
                       for n in (h, w))
         return shape, ((shape[0] - h) // 2, (shape[1] - w) // 2)
 
+    @np.errstate(over="ignore", invalid="ignore")  # finish_plane refuses the result
     def _plane(self, alpha: float) -> tuple[float, ScalarField, float]:
         f, params = self._field, self._params
         (h, w), (shape, (top, left)) = f.grid.shape, self._grid(alpha)
         if shape != self._shape:
             self._spectrum = None  # drop the old one before making the next
-            self._spectrum = sfft.rfft2(np.pad(
+            self._spectrum = np.fft.rfft(np.pad(
                 f.values, ((top, shape[0] - h - top), (left, shape[1] - w - left)),
-                mode="edge"))
+                mode="edge"), axis=1)
+            np.fft.fft(self._spectrum, axis=0, out=self._spectrum)
             self._shape = shape
         # np.where makes a fresh C-contiguous plane, 0 at masked pixels, and
         # finish_plane refuses any that is not finite, so the field adopts it

@@ -22,6 +22,19 @@ the response at the ridge equals the total local fringe phase regardless
 of which frequency grid point the ridge search picked, so subtracting
 reference from deformed cancels the carrier term identically.
 
+Every transform is numpy.fft's pocketfft, through out= buffers. numpy's
+ifft of complex64 runs in single precision, but its fft of complex64
+runs the complex128 loop on double-precision copies (its default scale
+factor is a Python int). So the column stage never calls fft: the scan
+holds the image upside down, row j holding row h - 1 - j, and for such a
+column y of n bins ifft(y)[k] = exp(2 pi i (h - 1) k / n) fft(x)[k] / n,
+x being the column the right way up. The column kernels and the
+window's transform carry the inverse factor n exp(-2 pi i (h - 1) k / n):
+their taps sit h - 1 bins on and are scaled by n before their float64
+FFT, then cast to complex64 once, as before. The column forward
+transform thus rounds as a single-precision FFT does, plus one relative
+rounding of its 1/n scale, well inside eps_x below.
+
 demodulate scans an inclusive frequency grid over [band_x] x [band_y]
 and keeps, per pixel, the response with the largest magnitude (ties break
 toward the smallest flat grid index i * len(vs) + j, so the smallest u,
@@ -51,16 +64,17 @@ test itself.
 The u grid is sorted by distance from the band centre (the smaller u
 first on ties) and dealt round-robin to k = min(len(us), usable CPUs)
 threads, thread t taking order[t::k], so every thread starts near the
-ridge; numpy's ufuncs and scipy.fft release the interpreter lock, so the
-threads run in parallel. A thread's first u scans every column, so its
-best holds a real candidate everywhere before any bound is tested. No
-thread scans in ascending order, so a candidate is taken when mag2 >
-best, or when mag2 == best and its flat grid index is smaller, both
-within a thread and in the merge of the threads' bests. The winner is
-then the maximum of a total order, whatever the order of the scan, and
-equals the one-thread ascending scan's bit for bit. Each u gathers its
-surviving columns of the best arrays into contiguous buffers once, runs
-its v loop on them in place and scatters them back. Every array a thread
+ridge; numpy's ufuncs and numpy.fft release the interpreter lock, so the
+threads run in parallel (two threads scan 512^2 about 1.5x faster than
+one). A thread's first u scans every column, so its best holds a real
+candidate everywhere before any bound is tested. No thread scans in
+ascending order, so a candidate is taken when mag2 > best, or when
+mag2 == best and its flat grid index is smaller, both within a thread
+and in the merge of the threads' bests. The winner is then the maximum
+of a total order, whatever the order of the scan, and equals the
+one-thread ascending scan's bit for bit. Each u gathers its surviving
+columns of the best arrays into contiguous buffers once, runs its v loop
+on them in place and scatters them back. Every array a thread
 writes is made by the calling thread, sized for all columns, and the
 thread writes into contiguous views of it through out= and in-place
 transforms: when the threads made their own temporaries, glibc kept
@@ -90,9 +104,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
-from .core import GridSpec, PhaseMap, ScalarField, TWO_PI, wrap_phase
+from .core import GridSpec, PhaseMap, ScalarField, TWO_PI, next_fast_len, wrap_phase
 from .errors import (BadFrequencyError, BadSpecError, EmptyBandError,
                      GridMismatchError, NoValidSeedError, NumericError)
 
@@ -182,12 +195,13 @@ def _window_taps(sigma: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_ffts(t: np.ndarray, w: np.ndarray, freqs: np.ndarray,
-                 n: int) -> np.ndarray:
+                 n: int, lag: int = 0) -> np.ndarray:
     """FFTs of the complex window tap vectors, one row per frequency, laid
-    out circularly in n bins; built in float64, then cast to complex64."""
+    out circularly in n bins, tap t in bin (t + lag) mod n; built in
+    float64, then cast to complex64."""
     buf = np.zeros((len(freqs), n), dtype=np.complex128)
-    buf[:, t.astype(int) % n] = w * np.exp(2j * np.pi * np.outer(freqs, t))
-    return sfft.fft(buf, axis=1).astype(np.complex64)
+    buf[:, (t.astype(int) + lag) % n] = w * np.exp(2j * np.pi * np.outer(freqs, t))
+    return np.fft.fft(buf, axis=1).astype(np.complex64)
 
 
 class _ChunkScan:
@@ -195,8 +209,8 @@ class _ChunkScan:
 
     Every array scan writes is made here, in the calling thread, sized for
     all w columns; the thread that runs scan only writes into contiguous
-    views of them, products through out= and transforms in place with
-    overwrite_x. scanned counts the (u, column) pairs the v loop ran on.
+    views of them, products and transforms through out=. scanned counts
+    the (u, column) pairs the v loop ran on.
     """
 
     def __init__(self, shape: tuple[int, int], row_fft: np.ndarray,
@@ -234,8 +248,8 @@ class _ChunkScan:
         ny = self.col_kernels.shape[1]
         best = (self.best_mag2, self.best_resp, self.best_idx)
         for n, i in enumerate(u_index):
-            rows = sfft.ifft(np.multiply(self.row_fft, self.row_kernels[i], out=self.rows),
-                             axis=1, overwrite_x=True)
+            rows = np.multiply(self.row_fft, self.row_kernels[i], out=self.rows)
+            rows = np.fft.ifft(rows, axis=1, out=rows)
             x = self.every_column if n == 0 else self._reachable(rows)
             m = len(x)
             if not m:
@@ -245,14 +259,15 @@ class _ChunkScan:
             # mode="clip" writes straight into out; "raise" buffers a copy
             np.take(rows, x, axis=1, out=cols[:h], mode="clip")
             cols[h:] = 0.0
-            col_fft = sfft.fft(cols, axis=0, overwrite_x=True)
+            # the upright column's fft up to the factor the kernels carry
+            col_fft = np.fft.ifft(cols, axis=0, out=cols)
             part = [np.take(b, x, axis=1, out=_view(p, (h, m)), mode="clip")
                     for b, p in zip(best, self.part)]
             product = _view(self.product, (ny, m))
             mag2, square = _view(self.mag2, (h, m)), _view(self.square, (h, m))
             for j, gy in enumerate(self.col_kernels):
-                resp = sfft.ifft(np.multiply(col_fft, gy, out=product),
-                                 axis=0, overwrite_x=True)[:h]
+                resp = np.fft.ifft(np.multiply(col_fft, gy, out=product),
+                                   axis=0, out=product)[:h]
                 # rounds as np.square(re) + np.square(im) does
                 np.square(resp.real, out=mag2)
                 mag2 += np.square(resp.imag, out=square)
@@ -283,8 +298,8 @@ class _ChunkScan:
         pairs[:, 1] = pairs[:, 0]
         np.sqrt(eps, out=eps)
         eps *= self.eps_per_norm
-        z = sfft.fft(packed, axis=0, overwrite_x=True)
-        z = sfft.ifft(np.multiply(z, self.window_fft, out=z), axis=0, overwrite_x=True)
+        z = np.fft.ifft(packed, axis=0, out=packed)
+        z = np.fft.ifft(np.multiply(z, self.window_fft, out=z), axis=0, out=z)
         reach = _view(self.mag2, (h, w))
         np.add(z.view(np.float32)[:h, :w], eps[:w], out=reach)
         np.square(reach, out=reach)
@@ -358,11 +373,13 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
         raise NumericError(
             f"image magnitude {peak:.3g} overflows the single-precision ridge scan")
     r = len(t) // 2
-    nx, ny = (sfft.next_fast_len(max(n + r, 2 * r + 1)) for n in (w, h))
-    row_fft = sfft.fft(img.values, n=nx, axis=1).astype(np.complex64)
+    nx, ny = (next_fast_len(max(n + r, 2 * r + 1)) for n in (w, h))
+    # the image upside down, so the column kernels and the window's
+    # transform carry n exp(-2 pi i (h - 1) k / n) (module docstring)
+    row_fft = np.fft.fft(img.values[::-1], n=nx, axis=1).astype(np.complex64)
     row_kernels = _kernel_ffts(t, taps, us, nx)
-    col_kernels = _kernel_ffts(t, taps, vs, ny)[:, :, None]
-    window_fft = _kernel_ffts(t, taps, np.zeros(1), ny)[0, :, None]
+    col_kernels = _kernel_ffts(t, ny * taps, vs, ny, lag=h - 1)[:, :, None]
+    window_fft = _kernel_ffts(t, ny * taps, np.zeros(1), ny, lag=h - 1)[0, :, None]
     eps_per_norm = FFT_ROUNDOFF * math.log2(ny) * float(taps.sum())
     k = min(len(us), _usable_cpus())
     order = np.argsort(np.abs(np.arange(len(us)) - (len(us) - 1) / 2), kind="stable")

@@ -7,11 +7,12 @@ Three FFT references keep earlier production code as it ran: the
 windowed-Fourier ridge scan before it moved to single precision and a
 shorter padding (a double-precision scan padded by the full window width
 on both sides), the single-precision scan before its u grid was split
-across threads (one loop over u, then v, in the calling thread), and the
-wavelet sweep before each plane got a pad sized to its own hat reach
-and a 5-smooth length (every plane on one grid edge-padded by
-2 * max(scales), inverted by irfft2, then normalized and thresholded
-over its valid pixels by normalize_plane and threshold_plane).
+across threads (one loop over u, then v, in the calling thread, on the
+transforms the threaded scan runs), and the wavelet sweep before each
+plane got a pad sized to its own hat reach and a 5-smooth length
+(every plane on one grid edge-padded by 2 * max(scales), inverted by
+irfft2, then normalized and thresholded over its valid pixels by
+normalize_plane and threshold_plane).
 wide_pad_plane is the reference for the edges of the planes whose hat
 reaches past their padding: a grid so wide that no kept pixel's hat
 wraps. full_spectrum_plane is the plane as it was made before it
@@ -28,13 +29,12 @@ import math
 from collections import Counter, defaultdict
 
 import numpy as np
-from scipy import fft as sfft
 
 from fringescale import (AllMaskedError, PhaseMap, RidgeResult, ScalarField,
                          masked_extrema, mexican_hat, wrap_phase)
 from fringescale.contours import contour_levels, marching_squares
 from fringescale.cwt import HAT_REACH, CwtSweep, _axis_dfts, finish_plane
-from fringescale.core import TWO_PI
+from fringescale.core import TWO_PI, next_fast_len
 from fringescale.wft import WINDOW_TRUNCATION_SIGMAS, frequency_grid
 
 
@@ -344,7 +344,7 @@ def _kernel_fft(t, w, freq, n):
     """FFT of the complex window tap vector laid out circularly in n bins."""
     buf = np.zeros(n, dtype=np.complex128)
     buf[t.astype(int) % n] = w * np.exp(2j * np.pi * freq * t)
-    return sfft.fft(buf)
+    return np.fft.fft(buf)
 
 
 class _SeparableScan:
@@ -355,17 +355,17 @@ class _SeparableScan:
         self.h, self.w = values.shape
         self.t, self.w1d = _window_taps(sigma)
         r = len(self.t) // 2
-        self.nx = sfft.next_fast_len(self.w + 2 * r)
-        self.ny = sfft.next_fast_len(self.h + 2 * r)
-        self.row_fft = sfft.fft(values, n=self.nx, axis=1)
+        self.nx = next_fast_len(self.w + 2 * r)
+        self.ny = next_fast_len(self.h + 2 * r)
+        self.row_fft = np.fft.fft(values, n=self.nx, axis=1)
 
     def rows(self, u):
         """Row-convolved image for probe frequency u, padded along columns."""
         gx = _kernel_fft(self.t, self.w1d, u, self.nx)
-        rows = sfft.ifft(self.row_fft * gx[None, :], axis=1)[:, :self.w]
+        rows = np.fft.ifft(self.row_fft * gx[None, :], axis=1)[:, :self.w]
         buf = np.zeros((self.ny, self.w), dtype=np.complex128)
         buf[:self.h] = rows
-        return sfft.fft(buf, axis=0)
+        return np.fft.fft(buf, axis=0)
 
     def column_kernel(self, v):
         """FFT of the column window for probe frequency v."""
@@ -373,7 +373,8 @@ class _SeparableScan:
 
     def response(self, col_fft, gy):
         # the product is a fresh temporary, so the inverse FFT may reuse it
-        return sfft.ifft(col_fft * gy[:, None], axis=0, overwrite_x=True)[:self.h]
+        product = col_fft * gy[:, None]
+        return np.fft.ifft(product, axis=0, out=product)[:self.h]
 
 
 def windowed_response(img, u, v, sigma):
@@ -415,12 +416,13 @@ def float64_demodulate(img, params):
     )
 
 
-def _single_kernel_ffts(t, w, freqs, n):
+def _single_kernel_ffts(t, w, freqs, n, lag=0):
     """FFTs of the complex window tap vectors, one row per frequency, laid
-    out circularly in n bins; built in float64, then cast to complex64."""
+    out circularly in n bins, tap t in bin (t + lag) mod n; built in
+    float64, then cast to complex64."""
     buf = np.zeros((len(freqs), n), dtype=np.complex128)
-    buf[:, t.astype(int) % n] = w * np.exp(2j * np.pi * np.outer(freqs, t))
-    return sfft.fft(buf, axis=1).astype(np.complex64)
+    buf[:, (t.astype(int) + lag) % n] = w * np.exp(2j * np.pi * np.outer(freqs, t))
+    return np.fft.fft(buf, axis=1).astype(np.complex64)
 
 
 def sequential_demodulate(img, params):
@@ -429,23 +431,26 @@ def sequential_demodulate(img, params):
     improvement, so a tie keeps the smallest flat grid index.
     wft.demodulate skips the columns its bound rules out, deals the u
     grid across threads from the band centre outwards and breaks ties by
-    the flat index; it must equal this scan bit for bit."""
+    the flat index; it must equal this scan bit for bit. Both run the
+    same transforms: the image upside down, column spectra by ifft, and
+    column kernels whose taps sit h - 1 bins on, scaled by ny (see the
+    wft module docstring)."""
     us = frequency_grid(params.band_x, params.step)
     vs = frequency_grid(params.band_y, params.step)
     h, w = shape = img.grid.shape
     t, taps = _window_taps(params.window_sigma)
     r = len(t) // 2
-    nx, ny = (sfft.next_fast_len(max(n + r, 2 * r + 1)) for n in (w, h))
-    row_fft = sfft.fft(img.values, n=nx, axis=1).astype(np.complex64)
-    col_kernels = _single_kernel_ffts(t, taps, vs, ny)[:, :, None]
+    nx, ny = (next_fast_len(max(n + r, 2 * r + 1)) for n in (w, h))
+    row_fft = np.fft.fft(img.values[::-1], n=nx, axis=1).astype(np.complex64)
+    col_kernels = _single_kernel_ffts(t, ny * taps, vs, ny, lag=h - 1)[:, :, None]
     best_mag2 = np.full(shape, -1.0, dtype=np.float32)
     best_resp = np.zeros(shape, dtype=np.complex64)
     best_idx = np.zeros(shape, dtype=np.int32)  # flat (u, v) grid index
     for i, gx in enumerate(_single_kernel_ffts(t, taps, us, nx)):
-        rows = sfft.ifft(row_fft * gx, axis=1)[:, :w]
-        col_fft = sfft.fft(rows, n=ny, axis=0)
+        rows = np.fft.ifft(row_fft * gx, axis=1)[:, :w]
+        col_fft = np.fft.ifft(rows, n=ny, axis=0)
         for j, gy in enumerate(col_kernels):
-            resp = sfft.ifft(col_fft * gy, axis=0, overwrite_x=True)[:h]
+            resp = np.fft.ifft(col_fft * gy, axis=0)[:h]
             mag2 = np.square(resp.real) + np.square(resp.imag)
             better = mag2 > best_mag2
             np.copyto(best_mag2, mag2, where=better)
@@ -568,8 +573,8 @@ def full_spectrum_plane(spectrum, shape, alpha, rows, cols):
     gx, hx = _axis_dfts(shape[1], alpha, half=True)
     product = spectrum * ((gy[:, None] * (2.0 * gx - hx)[None, :]
                            - hy[:, None] * gx[None, :]) / alpha)
-    product = sfft.ifft(product, axis=0, overwrite_x=True)[rows]
-    return sfft.irfft(product, n=shape[1], axis=1)[:, cols]
+    product = np.fft.ifft(product, axis=0, out=product)[rows]
+    return np.fft.irfft(product, n=shape[1], axis=1)[:, cols]
 
 
 def full_spectrum_sweep(field, params):
@@ -580,7 +585,7 @@ def full_spectrum_sweep(field, params):
     (h, w), valid = field.grid.shape, field.valid()
     for alpha in params.scales:
         shape, (top, left) = grid_of(alpha)
-        spectrum = sfft.rfft2(np.pad(
+        spectrum = np.fft.rfft2(np.pad(
             field.values, ((top, shape[0] - h - top), (left, shape[1] - w - left)),
             mode="edge"))
         out = np.where(valid, full_spectrum_plane(

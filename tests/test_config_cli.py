@@ -1,4 +1,8 @@
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -546,3 +550,24 @@ class TestCliPipeline:
         assert main(["pipeline", "--out", str(out)] + args) == 0
         assert (out / "phase.fgrid").exists()
         assert not (out / "phase_true.fgrid").exists()
+
+
+def test_import_and_pipeline_run_load_no_scipy(tmp_path):
+    # every FFT is numpy's; scipy.fft alone would add about 0.17 s and
+    # 27 MB to each fresh process, and a lazy import inside main would
+    # only move that cost into the run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import json, sys\n"
+        "import fringescale, fringescale.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "imported = scipy_modules()\n"
+        f"code = fringescale.cli.main(['pipeline', '--out', sys.argv[1]] + {FAST!r})\n"
+        "print(json.dumps([imported, code, scipy_modules()]))\n")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from fringescale import (
     masked_extrema,
     wrap_phase,
 )
-from fringescale.core import TWO_PI
+from fringescale.core import TWO_PI, next_fast_len
 
 
 def wrap_oracle(x: float) -> float:
@@ -168,3 +169,28 @@ class TestPhaseMap:
         m = np.zeros((8, 8), dtype=bool)
         m[0, 0] = True
         PhaseMap(field_from_array(a, m), wrapped=True)
+
+
+class TestNextFastLen:
+    PRIMES = {True: (2, 3, 5), False: (2, 3, 5, 7, 11)}
+
+    @staticmethod
+    def smooth(m, primes):
+        for p in primes:
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_smallest_smooth_length_at_least_n(self, real):
+        lengths = [m for m in range(1, 8192) if self.smooth(m, self.PRIMES[real])]
+        for n in range(1, 4097):
+            got = next_fast_len(n, real=real)
+            assert got >= n and self.smooth(got, self.PRIMES[real]), n
+            assert got == lengths[bisect.bisect_left(lengths, n)], n
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_matches_scipy(self, real):
+        sfft = pytest.importorskip("scipy.fft")
+        for n in range(1, 4097):
+            assert next_fast_len(n, real=real) == sfft.next_fast_len(n, real=real), n

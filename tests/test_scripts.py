@@ -79,3 +79,15 @@ def test_cwt_scaling():
     assert columns.split() == ["alpha", "old_max", "new_max", "old_rms", "new_rms"]
     assert len(rows) == 11
     assert all(math.isfinite(float(v)) for row in rows for v in row.split())
+
+
+def test_startup_cost():
+    proc = run_script("startup_cost.py", "--runs", "2")
+    assert proc.returncode == 0, proc.stderr
+    head, *rows = proc.stdout.splitlines()
+    assert head.split() == ["module", "import_s", "peak_rss_mb", "scipy_modules"]
+    assert [row.split()[0] for row in rows] == ["numpy", "fringescale.cli"]
+    for row in rows:
+        seconds, peak, scipy = row.split()[1:]
+        assert float(seconds) > 0 and float(peak) > 0
+        assert scipy == "0"

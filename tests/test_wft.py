@@ -400,6 +400,35 @@ class TestThreadedScanMatchesSequential:
         _, pair = rib_step_pair(64, 0.05)
         self.assert_identical(pair.deformed, params, scan_workers, workers)
 
+    def test_bound_is_the_window_weighted_column_sum(self, scan_workers, monkeypatch):
+        # B_u is made from the upside-down columns through ifft, the flip
+        # and the scale folded into the window's transform; it must be the
+        # direct sum over the rows the right way up, to within eps_x
+        scan_workers(1)
+        seen, reachable = [], wft._ChunkScan._reachable
+
+        def record(chunk, rows):
+            columns = reachable(chunk, rows)
+            h, w = chunk.best_mag2.shape
+            seen.append((np.abs(rows[::-1, :w].astype(np.complex128)),
+                         wft._view(chunk.mag2, (h, w)).astype(np.float64),
+                         chunk.eps[:w].astype(np.float64)))
+            return columns
+
+        monkeypatch.setattr(wft._ChunkScan, "_reachable", record)
+        params = DemodParams.for_carrier(0.125)
+        demodulate(rib_step_pair(96, 0.1)[1].deformed, params)
+        t, taps = wft._window_taps(params.window_sigma)
+        assert len(seen) == len(frequency_grid(params.band_x, params.step)) - 1
+        for mags, reach, eps in seen:
+            h = len(mags)
+            direct = np.zeros_like(mags)
+            for s, tap in zip(t.astype(int), taps):
+                lo, hi = max(0, -s), min(h, h - s)
+                direct[lo:hi] += tap * mags[lo + s:hi + s]
+            bound = np.sqrt(reach / (1.0 + wft.BOUND_SLACK)) - eps
+            assert (np.abs(bound - direct) <= eps).all()
+
 
 class TestRelativePhase:
     def _pm(self, vals):
