@@ -1,22 +1,33 @@
-"""Time the ridge scan alone, and the share of its work it does, by grid
-and band size.
+"""Time the ridge scan alone, the share of its work it does and its gap
+to the double-precision scan, by grid and band size.
 
 The input is the deformed image of the README quick-start rib step
 (noise 0.02), scaled to n x n, scanned with a carrier 0.125 band of
 B x B frequencies at step 0.005 and a 10-px window. For each size and
 band the script prints the median wall time of `wft.demodulate` over
---repeat calls (image synthesis excluded) and the share of (u, column)
-pairs whose v loop the scan ran, out of len(us) * n.
+--repeat calls (image synthesis excluded), the share of (u, column)
+pairs whose v loop the scan ran, out of len(us) * n, and, against
+tests/oracles.py::float64_demodulate, the valid pixels whose winning
+(u, v) moved and the largest wrapped phase gap where it did not. The
+double-precision scan runs every (u, v) on every column, so it takes
+far longer than the timed scans.
 
     python3 scripts/scan_scaling.py --sizes 256 512 1024 --bands 7 21 41
 """
 
 import argparse
 import statistics
+import sys
 import time
+from pathlib import Path
+
+import numpy as np
 
 from fringescale import (CarrierSpec, DemodParams, GridSpec, NoiseSpec,
-                         PhantomSpec, make_fringes, make_phase, wft)
+                         PhantomSpec, make_fringes, make_phase, wft, wrap_phase)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import float64_demodulate  # noqa: E402
 
 
 def rib_step_image(n: int):
@@ -28,9 +39,9 @@ def rib_step_image(n: int):
                         NoiseSpec(sigma=0.02, seed=12345)).deformed
 
 
-def scan_once(img, params) -> tuple[float, int]:
-    """Wall time of one scan and the (u, column) pairs its chunks scanned,
-    read from the chunks it makes."""
+def scan_once(img, params) -> tuple[float, int, wft.RidgeResult]:
+    """Wall time of one scan, the (u, column) pairs its chunks scanned,
+    read from the chunks it makes, and its result."""
     chunks, init = [], wft._ChunkScan.__init__
 
     def record(chunk, *args):
@@ -40,11 +51,22 @@ def scan_once(img, params) -> tuple[float, int]:
     wft._ChunkScan.__init__ = record
     try:
         start = time.perf_counter()
-        wft.demodulate(img, params)
+        ridge = wft.demodulate(img, params)
         elapsed = time.perf_counter() - start
     finally:
         wft._ChunkScan.__init__ = init
-    return elapsed, sum(c.scanned for c in chunks)
+    return elapsed, sum(c.scanned for c in chunks), ridge
+
+
+def oracle_gap(img, params, ridge) -> tuple[int, float]:
+    """Valid pixels whose winner differs from float64_demodulate's, and
+    the largest wrapped phase gap at the others."""
+    want = float64_demodulate(img, params)
+    valid = img.valid()
+    same = ((ridge.freq_x.values == want.freq_x.values)
+            & (ridge.freq_y.values == want.freq_y.values) & valid)
+    gap = np.abs(wrap_phase(ridge.phase.field.values - want.phase.field.values))
+    return int((valid & ~same).sum()), float(gap[same].max(initial=0.0))
 
 
 def main() -> None:
@@ -57,7 +79,7 @@ def main() -> None:
 
     step = 0.005
     print(f"usable CPUs {wft._usable_cpus()}")
-    print("size   band   scan_s  scanned_share")
+    print("size   band   scan_s  scanned_share  moved  phase_gap_rad")
     for n in args.sizes:
         img = rib_step_image(n)
         for b in args.bands:
@@ -68,8 +90,9 @@ def main() -> None:
             n_u = len(wft.frequency_grid(params.band_x, step))
             runs = [scan_once(img, params) for _ in range(args.repeat)]
             share = runs[0][1] / (n_u * n)
+            moved, gap = oracle_gap(img, params, runs[0][2])
             print(f"{n:4d}  {b:2d}x{b:<2d}  {statistics.median(r[0] for r in runs):7.3f}"
-                  f"  {share:.3f}")
+                  f"  {share:13.3f}  {moved:5d}  {gap:13.2e}")
 
 
 if __name__ == "__main__":

@@ -87,7 +87,7 @@ class ScalarField:
             if m.shape != self.grid.shape:
                 raise GridMismatchError(
                     f"mask shape {m.shape} does not match grid {self.grid.shape}")
-            if vals[~m].size and np.any(vals[~m] != 0.0):
+            if np.any(vals[~m] != 0.0):
                 raise ValueError("masked-out pixels must hold the value 0")
             object.__setattr__(self, "mask", m)
 
@@ -124,16 +124,13 @@ def field_from_array(values: np.ndarray,
 
 @dataclass(frozen=True)
 class CarrierSpec:
-    """Horizontal cosine carrier: I(x, y) = a * (1 + cos(2 pi fx x + phi))."""
+    """Horizontal cosine carrier: I(x, y) = 1 + cos(2 pi fx x + phi)."""
 
     fx: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.fx < 0.5):
             raise ValueError(f"carrier fx must lie in (0, 0.5), got {self.fx}")
-        if not (self.amplitude > 0.0 and np.isfinite(self.amplitude)):
-            raise ValueError(f"carrier amplitude must be positive, got {self.amplitude}")
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,9 @@ stack. cwt_plane is the one-scale sweep with neither step.
 
 Scales below 1 px leave psi_hat with significant energy beyond the
 Nyquist frequency and trigger AliasingWarning; scales <= 0 are refused.
+So does an unpadded scale whose hat is below 1e-12 of its peak at every
+nonzero grid frequency, where the plane is rounding noise; a padded axis
+is over 4 alpha long, which keeps its lowest alpha |w| below pi/2.
 """
 
 from __future__ import annotations
@@ -254,12 +257,19 @@ class CwtSweep:
         if not f.valid().any():
             raise AllMaskedError("cannot sweep a fully masked phase map")
         for a in params.scales:
+            # stacklevel 3 names the caller of cwt_sweep or cwt_plane
             if a < 1.0:
-                # stacklevel 3 names the caller of cwt_sweep or cwt_plane
                 warnings.warn(
                     f"scale {a} is below 1 px; the sampled wavelet keeps "
                     f"significant energy beyond Nyquist and the plane may alias",
                     AliasingWarning, stacklevel=3)
+            # z = (alpha |w|)^2 / 2 at the lowest grid frequency; past the
+            # hat's peak at z = 1 every bin is at most z e^(1 - z) of the peak
+            z = (2.0 * np.pi * a / max(f.grid.shape)) ** 2 / 2.0
+            if not params.pad and z > 1.0 and z * np.exp(1.0 - z) < 1e-12:
+                warnings.warn(f"unpadded, scale {a} is below 1e-12 of the hat's peak "
+                              f"at every nonzero grid frequency: the plane is rounding "
+                              f"noise", AliasingWarning, stacklevel=3)
         self._field = f
         self._params = params
         self._max_margin = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0

@@ -62,4 +62,5 @@ class TruncatedPayloadError(_FormatError):
 
 
 class AliasingWarning(UserWarning):
-    """Wavelet scale small enough that sampling error becomes significant."""
+    """Wavelet scale below 1 px, where sampling error becomes significant,
+    or so large against an unpadded grid that its plane is rounding noise."""

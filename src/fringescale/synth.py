@@ -4,9 +4,9 @@ A phantom supplies the ground-truth (unwrapped) phase. make_fringes then
 renders a reference image with zero phase and a deformed image carrying
 the phantom phase on top of the same horizontal carrier:
 
-    I(x, y) = a * (1 + cos(2 pi fx x + phi(x, y)))
+    I(x, y) = 1 + cos(2 pi fx x + phi(x, y))
 
-Noise-free intensities therefore lie in [0, 2a]. Optional additive
+Noise-free intensities therefore lie in [0, 2]. Optional additive
 Gaussian noise uses the counter-based Philox generator (numpy's
 ``np.random.Philox``) so identical seeds reproduce identical images
 bit for bit; the reference draws from ``seed`` and the deformed image
@@ -61,9 +61,8 @@ class PhantomSpec:
 class NoiseSpec:
     """Additive zero-mean Gaussian intensity noise.
 
-    sigma is expressed in units of the carrier amplitude a, so the
-    intensity standard deviation is sigma * a. seed is any integer;
-    it is reduced modulo 2**64 for the Philox key.
+    sigma is the intensity standard deviation (the fringes have amplitude
+    1). seed is any integer; it is reduced modulo 2**64 for the Philox key.
     """
 
     sigma: float = 0.0
@@ -138,16 +137,15 @@ def make_fringes(phase: PhaseMap, carrier: CarrierSpec,
     if phase.wrapped:
         raise BadSpecError("make_fringes needs the unwrapped ground-truth phase")
     grid = phase.grid
-    a = carrier.amplitude
     x = np.arange(grid.width, dtype=np.float64)[None, :]
     carg = TWO_PI * carrier.fx * x
-    ref = a * (1.0 + np.cos(np.broadcast_to(carg, grid.shape)))
-    dfm = a * (1.0 + np.cos(carg + phase.field.values))
+    ref = 1.0 + np.cos(np.broadcast_to(carg, grid.shape))
+    dfm = 1.0 + np.cos(carg + phase.field.values)
     if noise is not None and noise.sigma > 0.0:
         key = noise.seed % (2 ** 64)
-        ref = ref + a * noise.sigma * np.random.Generator(
+        ref = ref + noise.sigma * np.random.Generator(
             np.random.Philox(key=key)).standard_normal(grid.shape)
-        dfm = dfm + a * noise.sigma * np.random.Generator(
+        dfm = dfm + noise.sigma * np.random.Generator(
             np.random.Philox(key=(key + 1) % (2 ** 64))).standard_normal(grid.shape)
     if phase.field.mask is not None:
         valid = phase.field.mask

@@ -22,18 +22,13 @@ the response at the ridge equals the total local fringe phase regardless
 of which frequency grid point the ridge search picked, so subtracting
 reference from deformed cancels the carrier term identically.
 
-Every transform is numpy.fft's pocketfft, through out= buffers. numpy's
-ifft of complex64 runs in single precision, but its fft of complex64
-runs the complex128 loop on double-precision copies (its default scale
-factor is a Python int). So the column stage never calls fft: the scan
-holds the image upside down, row j holding row h - 1 - j, and for such a
-column y of n bins ifft(y)[k] = exp(2 pi i (h - 1) k / n) fft(x)[k] / n,
-x being the column the right way up. The column kernels and the
-window's transform carry the inverse factor n exp(-2 pi i (h - 1) k / n):
-their taps sit h - 1 bins on and are scaled by n before their float64
-FFT, then cast to complex64 once, as before. The column forward
-transform thus rounds as a single-precision FFT does, plus one relative
-rounding of its 1/n scale, well inside eps_x below.
+Every transform is numpy.fft's pocketfft, through out= buffers. A
+complex64 transform stays single precision and in place only with a
+float32 scale: ifft's 1/n, or fft's with norm="forward" (the default
+norm runs the complex128 loop on copies). So the column forward
+transforms take norm="forward", one more rounding well inside eps_x
+below, and the column kernels and the window's transform carry the
+factor n back, scaled before their float64 FFT.
 
 demodulate scans an inclusive frequency grid over [band_x] x [band_y]
 and keeps, per pixel, the response with the largest magnitude (ties break
@@ -195,12 +190,11 @@ def _window_taps(sigma: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_ffts(t: np.ndarray, w: np.ndarray, freqs: np.ndarray,
-                 n: int, lag: int = 0) -> np.ndarray:
+                 n: int) -> np.ndarray:
     """FFTs of the complex window tap vectors, one row per frequency, laid
-    out circularly in n bins, tap t in bin (t + lag) mod n; built in
-    float64, then cast to complex64."""
+    out circularly in n bins; built in float64, then cast to complex64."""
     buf = np.zeros((len(freqs), n), dtype=np.complex128)
-    buf[:, (t.astype(int) + lag) % n] = w * np.exp(2j * np.pi * np.outer(freqs, t))
+    buf[:, t.astype(int) % n] = w * np.exp(2j * np.pi * np.outer(freqs, t))
     return np.fft.fft(buf, axis=1).astype(np.complex64)
 
 
@@ -259,8 +253,7 @@ class _ChunkScan:
             # mode="clip" writes straight into out; "raise" buffers a copy
             np.take(rows, x, axis=1, out=cols[:h], mode="clip")
             cols[h:] = 0.0
-            # the upright column's fft up to the factor the kernels carry
-            col_fft = np.fft.ifft(cols, axis=0, out=cols)
+            col_fft = np.fft.fft(cols, axis=0, norm="forward", out=cols)
             part = [np.take(b, x, axis=1, out=_view(p, (h, m)), mode="clip")
                     for b, p in zip(best, self.part)]
             product = _view(self.product, (ny, m))
@@ -298,7 +291,7 @@ class _ChunkScan:
         pairs[:, 1] = pairs[:, 0]
         np.sqrt(eps, out=eps)
         eps *= self.eps_per_norm
-        z = np.fft.ifft(packed, axis=0, out=packed)
+        z = np.fft.fft(packed, axis=0, norm="forward", out=packed)
         z = np.fft.ifft(np.multiply(z, self.window_fft, out=z), axis=0, out=z)
         reach = _view(self.mag2, (h, w))
         np.add(z.view(np.float32)[:h, :w], eps[:w], out=reach)
@@ -374,12 +367,11 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
             f"image magnitude {peak:.3g} overflows the single-precision ridge scan")
     r = len(t) // 2
     nx, ny = (next_fast_len(max(n + r, 2 * r + 1)) for n in (w, h))
-    # the image upside down, so the column kernels and the window's
-    # transform carry n exp(-2 pi i (h - 1) k / n) (module docstring)
-    row_fft = np.fft.fft(img.values[::-1], n=nx, axis=1).astype(np.complex64)
+    row_fft = np.fft.fft(img.values, n=nx, axis=1).astype(np.complex64)
     row_kernels = _kernel_ffts(t, taps, us, nx)
-    col_kernels = _kernel_ffts(t, ny * taps, vs, ny, lag=h - 1)[:, :, None]
-    window_fft = _kernel_ffts(t, ny * taps, np.zeros(1), ny, lag=h - 1)[0, :, None]
+    # ny undoes the column transforms' norm="forward" (module docstring)
+    col_kernels = _kernel_ffts(t, ny * taps, vs, ny)[:, :, None]
+    window_fft = _kernel_ffts(t, ny * taps, np.zeros(1), ny)[0, :, None]
     eps_per_norm = FFT_ROUNDOFF * math.log2(ny) * float(taps.sum())
     k = min(len(us), _usable_cpus())
     order = np.argsort(np.abs(np.arange(len(us)) - (len(us) - 1) / 2), kind="stable")

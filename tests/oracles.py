@@ -416,12 +416,11 @@ def float64_demodulate(img, params):
     )
 
 
-def _single_kernel_ffts(t, w, freqs, n, lag=0):
+def _single_kernel_ffts(t, w, freqs, n):
     """FFTs of the complex window tap vectors, one row per frequency, laid
-    out circularly in n bins, tap t in bin (t + lag) mod n; built in
-    float64, then cast to complex64."""
+    out circularly in n bins; built in float64, then cast to complex64."""
     buf = np.zeros((len(freqs), n), dtype=np.complex128)
-    buf[:, (t.astype(int) + lag) % n] = w * np.exp(2j * np.pi * np.outer(freqs, t))
+    buf[:, t.astype(int) % n] = w * np.exp(2j * np.pi * np.outer(freqs, t))
     return np.fft.fft(buf, axis=1).astype(np.complex64)
 
 
@@ -432,23 +431,22 @@ def sequential_demodulate(img, params):
     wft.demodulate skips the columns its bound rules out, deals the u
     grid across threads from the band centre outwards and breaks ties by
     the flat index; it must equal this scan bit for bit. Both run the
-    same transforms: the image upside down, column spectra by ifft, and
-    column kernels whose taps sit h - 1 bins on, scaled by ny (see the
-    wft module docstring)."""
+    same transforms: column spectra by fft with norm="forward", and
+    column kernels scaled by ny (see the wft module docstring)."""
     us = frequency_grid(params.band_x, params.step)
     vs = frequency_grid(params.band_y, params.step)
     h, w = shape = img.grid.shape
     t, taps = _window_taps(params.window_sigma)
     r = len(t) // 2
     nx, ny = (next_fast_len(max(n + r, 2 * r + 1)) for n in (w, h))
-    row_fft = np.fft.fft(img.values[::-1], n=nx, axis=1).astype(np.complex64)
-    col_kernels = _single_kernel_ffts(t, ny * taps, vs, ny, lag=h - 1)[:, :, None]
+    row_fft = np.fft.fft(img.values, n=nx, axis=1).astype(np.complex64)
+    col_kernels = _single_kernel_ffts(t, ny * taps, vs, ny)[:, :, None]
     best_mag2 = np.full(shape, -1.0, dtype=np.float32)
     best_resp = np.zeros(shape, dtype=np.complex64)
     best_idx = np.zeros(shape, dtype=np.int32)  # flat (u, v) grid index
     for i, gx in enumerate(_single_kernel_ffts(t, taps, us, nx)):
         rows = np.fft.ifft(row_fft * gx, axis=1)[:, :w]
-        col_fft = np.fft.ifft(rows, n=ny, axis=0)
+        col_fft = np.fft.fft(rows, n=ny, axis=0, norm="forward")
         for j, gy in enumerate(col_kernels):
             resp = np.fft.ifft(col_fft * gy, axis=0)[:h]
             mag2 = np.square(resp.real) + np.square(resp.imag)

@@ -156,7 +156,7 @@ def test_demodulation_accuracy():
     grid = GridSpec(512, 512)
     truth = make_phase(grid, PhantomSpec(kind="gaussian_plume", peak=2.0,
                                          widths=(60.0, 60.0)))
-    carrier = CarrierSpec(fx=0.125, amplitude=1.0)
+    carrier = CarrierSpec(fx=0.125)
     params = DemodParams.for_carrier(carrier.fx)
     core = interior_mask(grid, int(np.ceil(3 * params.window_sigma)))
     parts = []

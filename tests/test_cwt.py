@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,23 @@ class TestCwtPlane:
         f = field_from_array(np.zeros((8, 8)))
         with pytest.warns(AliasingWarning):
             cwt_plane(f, 0.5)
+
+    def test_unpadded_noise_scale_warns(self, rng):
+        # on 53 x 70 the alpha = 100 hat is 3.5e-16 of its peak at the
+        # lowest grid frequency, so its unpadded plane is rounding noise
+        # that a normalized sweep would scale up to peak 1; at alpha = 50
+        # it is 1.2e-3, and padding keeps the hat near its peak
+        f = field_from_array(np.cumsum(rng.normal(size=(53, 70)), axis=1))
+        with pytest.warns(AliasingWarning, match="rounding noise") as caught:
+            noise = cwt_plane(f, 100.0)
+        assert len(caught) == 1 and caught[0].filename == __file__
+        assert np.abs(noise.values).max() < 1e-10 * np.abs(f.values).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            signal = cwt_plane(f, 50.0)
+            cwt_plane(f, 100.0, pad=True)
+            list(cwt_sweep(f, CwtParams(scales=(50.0, 100.0))))
+        assert np.abs(signal.values).max() > 1e-3 * np.abs(f.values).max()
 
     def test_mask_zeroed_and_carried(self):
         vals = np.ones((16, 16))
@@ -556,7 +574,11 @@ class TestPaddedGrid:
             while fast % p == 0:
                 fast //= p
         assert fast == 1
-        unpadded = cwt_sweep(f, CwtParams(scales=scales, pad=False))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            unpadded = cwt_sweep(f, CwtParams(scales=scales, pad=False))
+        # unpadded at 70^2, the largest planes can only be rounding noise
+        assert {w.category for w in caught} == ({AliasingWarning} if n == 70 else set())
         assert {unpadded._grid(a) for a in scales} == {((n, n), (0, 0))}
 
     def test_one_forward_transform_per_padded_shape(self, rng, monkeypatch):

@@ -50,9 +50,13 @@ def test_scale_response_curve(tmp_path):
 def test_scan_scaling():
     proc = run_script("scan_scaling.py", "--sizes", "48", "--bands", "3", "--repeat", "1")
     assert proc.returncode == 0, proc.stderr
-    size, band, seconds, share = proc.stdout.splitlines()[-1].split()
+    head, row = proc.stdout.splitlines()[-2:]
+    assert head.split() == ["size", "band", "scan_s", "scanned_share", "moved",
+                            "phase_gap_rad"]
+    size, band, seconds, share, moved, gap = row.split()
     assert (size, band) == ("48", "3x3")
     assert float(seconds) > 0 and 0 < float(share) <= 1
+    assert moved == "0" and 0 < float(gap) <= 1e-6
 
 
 def test_unwrap_scaling():

@@ -18,9 +18,9 @@ from fringescale import (
 GRID = GridSpec(32, 24)
 
 
-def fringe_oracle(x, fx, a, phi):
+def fringe_oracle(x, fx, phi):
     """Direct evaluation of the intensity model at one pixel."""
-    return a * (1.0 + math.cos(2.0 * math.pi * fx * x + phi))
+    return 1.0 + math.cos(2.0 * math.pi * fx * x + phi)
 
 
 class TestPhantoms:
@@ -97,13 +97,13 @@ class TestPhantoms:
 
 
 class TestMakeFringes:
-    CARRIER = CarrierSpec(fx=0.125, amplitude=1.0)
+    CARRIER = CarrierSpec(fx=0.125)
 
     def test_reference_matches_pointwise_oracle(self):
         phase = make_phase(GRID, PhantomSpec(kind="constant", peak=0.0))
         pair = make_fringes(phase, self.CARRIER)
         for x in (0, 1, 4, 17, 31):
-            want = fringe_oracle(x, 0.125, 1.0, 0.0)
+            want = fringe_oracle(x, 0.125, 0.0)
             assert pair.reference.values[3, x] == pytest.approx(want, abs=1e-12)
 
     def test_deformed_matches_pointwise_oracle(self):
@@ -111,7 +111,7 @@ class TestMakeFringes:
                                              widths=(5.0, 5.0)))
         pair = make_fringes(phase, self.CARRIER)
         for (y, x) in ((0, 0), (12, 16), (23, 31), (7, 9)):
-            want = fringe_oracle(x, 0.125, 1.0, phase.field.values[y, x])
+            want = fringe_oracle(x, 0.125, phase.field.values[y, x])
             assert pair.deformed.values[y, x] == pytest.approx(want, abs=1e-12)
 
     def test_zero_phase_gives_identical_images(self):
@@ -127,15 +127,14 @@ class TestMakeFringes:
         assert pair.reference.values[0, 0] == pytest.approx(2.0)
         assert pair.deformed.values[0, 0] == pytest.approx(0.0, abs=1e-12)
 
-    @given(st.floats(min_value=0.01, max_value=0.49),
-           st.floats(min_value=0.1, max_value=10.0))
-    def test_noise_free_range(self, fx, a):
+    @given(st.floats(min_value=0.01, max_value=0.49))
+    def test_noise_free_range(self, fx):
         phase = make_phase(GRID, PhantomSpec(kind="gaussian_plume", peak=2.0,
                                              widths=(5.0, 4.0)))
-        pair = make_fringes(phase, CarrierSpec(fx=fx, amplitude=a))
+        pair = make_fringes(phase, CarrierSpec(fx=fx))
         for img in (pair.reference.values, pair.deformed.values):
             assert img.min() >= 0.0
-            assert img.max() <= 2.0 * a + 1e-12
+            assert img.max() <= 2.0 + 1e-12
 
     def test_noise_is_deterministic(self):
         phase = make_phase(GRID, PhantomSpec(kind="constant", peak=1.0))
@@ -159,18 +158,17 @@ class TestMakeFringes:
 
     def test_noise_matches_philox_streams(self):
         phase = make_phase(GRID, PhantomSpec(kind="constant", peak=0.0))
-        a, sigma, seed = 2.0, 0.1, 4242
-        pair = make_fringes(phase, CarrierSpec(fx=0.125, amplitude=a),
-                            NoiseSpec(sigma=sigma, seed=seed))
-        clean = make_fringes(phase, CarrierSpec(fx=0.125, amplitude=a))
+        sigma, seed = 0.1, 4242
+        pair = make_fringes(phase, self.CARRIER, NoiseSpec(sigma=sigma, seed=seed))
+        clean = make_fringes(phase, self.CARRIER)
         want_ref = np.random.Generator(
             np.random.Philox(key=seed)).standard_normal(GRID.shape)
         want_dfm = np.random.Generator(
             np.random.Philox(key=seed + 1)).standard_normal(GRID.shape)
         np.testing.assert_array_equal(
-            pair.reference.values, clean.reference.values + a * sigma * want_ref)
+            pair.reference.values, clean.reference.values + sigma * want_ref)
         np.testing.assert_array_equal(
-            pair.deformed.values, clean.deformed.values + a * sigma * want_dfm)
+            pair.deformed.values, clean.deformed.values + sigma * want_dfm)
 
     def test_sigma_zero_equals_no_noise(self):
         phase = make_phase(GRID, PhantomSpec(kind="constant", peak=0.5))

@@ -204,7 +204,7 @@ class TestDemodulateMatchesOracle:
     double-precision, fully padded scan in tests/oracles.py.
 
     Measured, with no winner moved anywhere: on both images of the 96^2
-    rib step at noise 0.02a and 0.1a (both hold residues), phase gaps up
+    rib step at noise 0.02 and 0.1 (both hold residues), phase gaps up
     to 4.2e-7 rad and amplitude gaps up to 5.7e-7 relative; on the 8x8
     and 30x50 grids up to 2.0e-7 rad and 2.1e-7 relative.
     """
@@ -388,6 +388,25 @@ class TestThreadedScanMatchesSequential:
         share = sum(chunk.scanned for chunk, _ in scans) / (n_u * 192)
         assert 0 < share < 0.2
 
+    def test_scan_makes_no_temporaries(self, scan_workers, monkeypatch):
+        # every product and transform writes through out=: a complex128
+        # copy of the 256^2 plume's column block alone would take ny * 256
+        # * 16 bytes, 1.2 MB; measured 74 KB
+        scan_workers(1)
+        peaks, scan = [], wft._ChunkScan.scan
+
+        def traced(chunk, u_index):
+            tracemalloc.start()
+            try:
+                scan(chunk, u_index)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(wft._ChunkScan, "scan", traced)
+        demodulate(steep_plume(256), DemodParams.for_carrier(0.125))
+        assert len(peaks) == 1 and peaks[0] <= 256 * 1024
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_one_u_band(self, scan_workers, workers):
         # DemodParams holds at least two u per band (step <= band width);
@@ -401,16 +420,16 @@ class TestThreadedScanMatchesSequential:
         self.assert_identical(pair.deformed, params, scan_workers, workers)
 
     def test_bound_is_the_window_weighted_column_sum(self, scan_workers, monkeypatch):
-        # B_u is made from the upside-down columns through ifft, the flip
-        # and the scale folded into the window's transform; it must be the
-        # direct sum over the rows the right way up, to within eps_x
+        # B_u is made through norm="forward" column transforms, the factor
+        # ny folded into the window's transform; it must be the direct sum
+        # over the rows, to within eps_x
         scan_workers(1)
         seen, reachable = [], wft._ChunkScan._reachable
 
         def record(chunk, rows):
             columns = reachable(chunk, rows)
             h, w = chunk.best_mag2.shape
-            seen.append((np.abs(rows[::-1, :w].astype(np.complex128)),
+            seen.append((np.abs(rows[:, :w].astype(np.complex128)),
                          wft._view(chunk.mag2, (h, w)).astype(np.float64),
                          chunk.eps[:w].astype(np.float64)))
             return columns
@@ -638,7 +657,7 @@ class TestUnwrapMatchesFloodFill:
                                   flood_fill_unwrap(vals, np.zeros((h, w)), mask))
 
     def test_disagreement_on_map_with_residues(self):
-        """A 192^2 rib step at noise 0.1a: its wrapped relative phase holds
+        """A 192^2 rib step at noise 0.1: its wrapped relative phase holds
         residues, where the choice of integration path shows.
 
         Measured: 2 residues; the two unwraps differ by one 2 pi turn on
