@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fringescale import CwtParams, cwt_sweep, default_scale_grid, field_from_array
+from fringescale import (CwtParams, GridSpec, PhantomSpec, cwt_sweep, default_scale_grid,
+                         field_from_array, make_phase)
 from fringescale.cwt import HAT_REACH
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -38,15 +39,12 @@ from oracles import (edge_band_errors, full_spectrum_sweep, uniform_pad_sweep,  
 
 
 def rib_plume(n: int, seed: int = 1):
-    s = n / 512.0
-    y, x = np.mgrid[0:n, 0:n].astype(float)
-    r2 = (x - n / 2.0) ** 2 + (y - n / 2.0) ** 2
-    rng = np.random.default_rng(seed)
-    vals = 6.0 * np.exp(-r2 / (2.0 * (60.0 * s) ** 2)) + 0.05 * rng.normal(size=(n, n))
-    x0, y0, w, h = (int(v * s) for v in (64, 384, 128, 96))
-    mask = np.ones((n, n), dtype=bool)
-    mask[y0:y0 + h, x0:x0 + w] = False
-    return field_from_array(np.where(mask, vals, 0.0), mask)
+    s = n / 512
+    truth = make_phase(GridSpec(n, n), PhantomSpec(
+        kind="rib_step", peak=6.0, widths=(60 * s, 60 * s),
+        rib_rect=(int(64 * s), int(384 * s), int(128 * s), int(96 * s)))).field
+    noise = 0.05 * np.random.default_rng(seed).normal(size=(n, n))
+    return field_from_array(np.where(truth.mask, truth.values + noise, 0.0), truth.mask)
 
 
 def sweep_seconds(f, params) -> float:

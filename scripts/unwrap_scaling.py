@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fringescale import wft, wrap_phase
+from fringescale import GridSpec, PhantomSpec, make_phase, wft, wrap_phase
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import int64_forest_turns  # noqa: E402
@@ -31,16 +31,13 @@ from oracles import int64_forest_turns  # noqa: E402
 
 def plume_phase(n: int, seed: int):
     """Wrapped values, quality and validity of the seeded n x n plume."""
-    s = n / 512.0
+    s = n / 512
+    truth = make_phase(GridSpec(n, n), PhantomSpec(
+        kind="rib_step", peak=16 * math.pi, widths=(100 * s, 100 * s),
+        rib_rect=(int(64 * s), int(384 * s), int(128 * s), int(96 * s)))).field
     rng = np.random.default_rng(seed)
-    y, x = np.mgrid[0:n, 0:n].astype(float)
-    r2 = (x - n / 2.0) ** 2 + (y - n / 2.0) ** 2
-    truth = 16 * math.pi * np.exp(-r2 / (2.0 * (100.0 * s) ** 2))
-    vals = wrap_phase(truth + 0.05 * rng.normal(size=(n, n)))
-    valid = np.ones((n, n), dtype=bool)
-    x0, y0, w, h = (int(v * s) for v in (64, 384, 128, 96))
-    valid[y0:y0 + h, x0:x0 + w] = False
-    return np.where(valid, vals, 0.0), rng.random((n, n)), valid
+    vals = wrap_phase(truth.values + 0.05 * rng.normal(size=(n, n)))
+    return np.where(truth.mask, vals, 0.0), rng.random((n, n)), truth.mask
 
 
 def measure(forest, args, repeat: int):

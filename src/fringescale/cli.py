@@ -13,9 +13,10 @@ malformed overrides), 3 I/O error (missing or corrupt files), 4 numeric
 failure (degenerate inputs, empty masks, non-finite unwrap quality).
 
 Configuration comes from an optional ``--config FILE``, repeatable
-``--set key=value`` overrides, then ``--out`` and ``demod``'s
-``--reference``/``--deformed``, which set out.dir and input.*. Every run
-echoes the fully resolved configuration next to its outputs.
+``--set key=value`` overrides, then ``--out``, ``demod``'s
+``--reference``/``--deformed`` and ``cwt``'s ``--phase``, which set
+out.dir and input.*. Every run but ``render`` echoes the fully resolved
+configuration next to its outputs, so it re-runs from that echo.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .core import ScalarField
-from .cwt import DISPLAY_SCALES, CwtSweep, cwt_sweep
+from .cwt import DISPLAY_SCALES, cwt_sweep
 from .errors import (
     ConfigError,
     CorruptHeaderError,
@@ -58,9 +59,7 @@ def _load_config(args: argparse.Namespace) -> cfgmod.ResolvedConfig:
             values.update(cfgmod.parse_config_file(args.config))
         except OSError as e:
             raise ConfigError(f"cannot read config file: {e}")
-    for item in args.set or ():
-        key, value = cfgmod.parse_override(item)
-        values[key] = value
+    values.update(cfgmod.parse_override(item) for item in args.set or ())
     for key, value in vars(args).items():
         if key in cfgmod.SCHEMA and value is not None:
             values[key] = value
@@ -71,11 +70,8 @@ def _ensure_out(rc: cfgmod.ResolvedConfig) -> Path:
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     return rc.out_dir
 
-def _write_echo(rc: cfgmod.ResolvedConfig, out: Path) -> None:
-    atomic_write_text(out / "config_echo.txt", cfgmod.echo_text(rc))
 
-
-def _write_synth(rc: cfgmod.ResolvedConfig):
+def _write_pair(rc: cfgmod.ResolvedConfig) -> tuple[ScalarField, ScalarField]:
     """Make the phantom's fringe pair, then write it and the true phase."""
     if rc.phantom is None:
         raise ConfigError("synth needs a phantom; input.* files were given")
@@ -85,31 +81,15 @@ def _write_synth(rc: cfgmod.ResolvedConfig):
     write_field(out / "reference.fgrid", pair.reference)
     write_field(out / "deformed.fgrid", pair.deformed)
     write_field(out / "phase_true.fgrid", truth.field)
-    return pair
+    return pair.reference, pair.deformed
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    rc = _load_config(args)
-    _write_synth(rc)
-    _write_echo(rc, rc.out_dir)
-    print(f"synth: wrote reference/deformed/phase_true to {rc.out_dir}")
-    return EXIT_OK
+def cmd_synth(rc: cfgmod.ResolvedConfig) -> str:
+    _write_pair(rc)
+    return "wrote reference/deformed/phase_true"
 
 
-def _demod_phase(rc: cfgmod.ResolvedConfig, reference: ScalarField,
-                 deformed: ScalarField):
-    """The phase-recovery chain: ridge demod of both images, the wrapped
-    relative phase, its quality-guided unwrap and the optional anchor."""
-    ref_phase = demodulate(reference, rc.demod).phase
-    dfm_ridge = demodulate(deformed, rc.demod)
-    phase = unwrap(relative_phase(dfm_ridge, ref_phase),
-                   quality=dfm_ridge.ridge_amplitude)
-    if rc.anchor is not None:
-        phase = anchor_far_field(phase, rc.anchor)
-    return phase
-
-
-def _read_pair(rc: cfgmod.ResolvedConfig):
+def _read_pair(rc: cfgmod.ResolvedConfig) -> tuple[ScalarField, ScalarField]:
     """Read the measured fringe pair, check that both images share a grid
     and check the anchor rectangle against it, which is known only now."""
     if rc.input_reference is None:
@@ -126,15 +106,25 @@ def _read_pair(rc: cfgmod.ResolvedConfig):
     return reference, deformed
 
 
-def cmd_demod(args: argparse.Namespace) -> int:
-    rc = _load_config(args)
-    reference, deformed = _read_pair(rc)
-    phase = _demod_phase(rc, reference, deformed)
-    out = _ensure_out(rc)
-    write_field(out / "phase.fgrid", phase.field)
-    _write_echo(rc, out)
-    print(f"demod: wrote phase.fgrid to {out}")
-    return EXIT_OK
+def _write_phase(rc: cfgmod.ResolvedConfig, reference: ScalarField,
+                 deformed: ScalarField) -> ScalarField:
+    """The phase-recovery chain: ridge demod of both images, the wrapped
+    relative phase, its quality-guided unwrap and the optional anchor.
+    Writes phase.fgrid; the output directory is made only once the
+    phase exists."""
+    ref_phase = demodulate(reference, rc.demod).phase
+    dfm_ridge = demodulate(deformed, rc.demod)
+    phase = unwrap(relative_phase(dfm_ridge, ref_phase),
+                   quality=dfm_ridge.ridge_amplitude)
+    if rc.anchor is not None:
+        phase = anchor_far_field(phase, rc.anchor)
+    write_field(_ensure_out(rc) / "phase.fgrid", phase.field)
+    return phase.field
+
+
+def cmd_demod(rc: cfgmod.ResolvedConfig) -> str:
+    _write_phase(rc, *_read_pair(rc))
+    return "wrote phase.fgrid"
 
 
 def _render(out: Path, stem: str, field: ScalarField, levels: int) -> None:
@@ -143,14 +133,14 @@ def _render(out: Path, stem: str, field: ScalarField, levels: int) -> None:
     write_contour_csv(out / f"{stem}_contours.csv", field, levels)
 
 
-def _write_planes(rc: cfgmod.ResolvedConfig, sweep: CwtSweep,
-                  shown: frozenset[int] = frozenset()) -> Path:
-    """Write each plane as the sweep makes it, rendering those whose index
-    is in shown, then the manifest. The output directory is made once
-    the first plane exists, so a sweep refused at its first plane leaves
-    none."""
-    lines = [f"planes {len(sweep)}",
-             f"normalized {'true' if rc.cwt.normalize else 'false'}",
+def _write_planes(rc: cfgmod.ResolvedConfig, phase: ScalarField,
+                  shown: frozenset[int] = frozenset()) -> int:
+    """Sweep the phase and write each plane as the sweep makes it,
+    rendering those whose index is in shown, then the manifest; return
+    the plane count. The output directory is made once the first plane
+    exists, so a sweep refused at its first plane leaves none."""
+    sweep = cwt_sweep(phase, rc.cwt)
+    lines = [f"planes {len(sweep)}", "normalized true",
              f"thresholded {'true' if rc.cwt.threshold_fraction > 0.0 else 'false'}"]
     for i, (alpha, plane, divisor) in enumerate(sweep):
         if i == 0:
@@ -161,20 +151,16 @@ def _write_planes(rc: cfgmod.ResolvedConfig, sweep: CwtSweep,
         if i in shown:
             _render(out, stem, plane, rc.contour_levels)
     atomic_write_text(out / "manifest.txt", "\n".join(lines) + "\n")
-    return out
+    return len(sweep)
 
 
-def cmd_cwt(args: argparse.Namespace) -> int:
-    rc = _load_config(args)
-    phase = read_image(args.phase)
-    sweep = cwt_sweep(phase, rc.cwt)
-    out = _write_planes(rc, sweep)
-    _write_echo(rc, out)
-    print(f"cwt: wrote {len(sweep)} planes + manifest.txt to {out}")
-    return EXIT_OK
+def cmd_cwt(rc: cfgmod.ResolvedConfig) -> str:
+    if rc.input_phase is None:
+        raise ConfigError("cwt needs a --phase field")
+    return f"wrote {_write_planes(rc, read_image(rc.input_phase))} planes + manifest.txt"
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace) -> str:
     if args.levels < 1:
         raise ConfigError(f"contour level count must be >= 1, got {args.levels}")
     field = read_image(args.field)
@@ -182,8 +168,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         write_heatmap(args.out_file, field)
     else:
         write_contour_csv(args.out_file, field, args.levels)
-    print(f"render: wrote {args.out_file}")
-    return EXIT_OK
+    return f"wrote {args.out_file}"
 
 
 def _display_planes(scales: tuple[float, ...]) -> frozenset[int]:
@@ -193,27 +178,13 @@ def _display_planes(scales: tuple[float, ...]) -> frozenset[int]:
                      for want in DISPLAY_SCALES)
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    rc = _load_config(args)
-    if rc.phantom is not None:
-        pair = _write_synth(rc)
-        reference, deformed = pair.reference, pair.deformed
-    else:
-        reference, deformed = _read_pair(rc)
-
-    phase = _demod_phase(rc, reference, deformed)
-    out = _ensure_out(rc)
-    write_field(out / "phase.fgrid", phase.field)
-    sweep = cwt_sweep(phase, rc.cwt)
+def cmd_pipeline(rc: cfgmod.ResolvedConfig) -> str:
+    phase = _write_phase(rc, *(_write_pair(rc) if rc.phantom else _read_pair(rc)))
     shown = frozenset()
     if rc.render_enabled:
-        _render(out, "phase", phase.field, rc.contour_levels)
+        _render(rc.out_dir, "phase", phase, rc.contour_levels)
         shown = _display_planes(rc.cwt.scales)
-    _write_planes(rc, sweep, shown)
-
-    _write_echo(rc, out)
-    print(f"pipeline: wrote phase.fgrid + {len(sweep)} planes to {out}")
-    return EXIT_OK
+    return f"wrote phase.fgrid + {_write_planes(rc, phase, shown)} planes"
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -244,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cwt", help="multi-scale sweep over a phase map")
     _add_config_args(p)
-    p.add_argument("--phase", metavar="FILE", required=True,
+    p.add_argument("--phase", dest="input.phase", metavar="FILE",
                    help="input field (.fgrid)")
     p.set_defaults(fn=cmd_cwt)
 
@@ -256,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=DEFAULT_CONTOUR_LEVELS,
                    help="contour level count")
     p.add_argument("out_file", metavar="OUTPUT")
-    p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("pipeline", help="synth + demod + cwt + render")
     _add_config_args(p)
@@ -266,10 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. A config subcommand is a function of its
+    resolved config that returns its message; its echo is written here."""
     args = build_parser().parse_args(argv)
     stage = args.command
     try:
-        return args.fn(args)
+        if stage == "render":
+            print(f"render: {cmd_render(args)}")
+            return EXIT_OK
+        rc = _load_config(args)
+        msg = args.fn(rc)
+        atomic_write_text(rc.out_dir / "config_echo.txt", cfgmod.echo_text(rc))
+        print(f"{stage}: {msg} to {rc.out_dir}")
+        return EXIT_OK
     except ConfigError as e:
         print(f"fringescale {stage}: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,11 +1,13 @@
 """Run configuration: key=value text with full-default materialization.
 
-A config file holds one ``key = value`` pair per line; ``#`` starts a
-comment and blank lines are ignored. Unknown keys are errors, so typos
+A config file holds one ``key = value`` pair per line; a ``#`` at the
+start of a line or after whitespace starts a comment (``run#1`` is a
+value) and blank lines are ignored. Unknown keys are errors, so typos
 fail loudly. Every run writes back a fully resolved echo in the same
 format with every default materialized (including values derived from
 others, like the ridge band around the carrier frequency), which makes
-any output directory reproducible from its echo alone.
+any output directory reproducible from its echo alone; a value whose
+echo line would not read back as itself is refused.
 
 The noise generator is pinned: ``noise.rng`` only accepts philox4x64
 (numpy's counter-based Philox bit generator) and is echoed so output
@@ -14,6 +16,7 @@ provenance records the algorithm.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +68,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "phantom.rib_h": ("int", 0),
     "input.reference": ("str", ""),
     "input.deformed": ("str", ""),
+    "input.phase": ("str", ""),
     "carrier.fx": ("float", 0.125),
     "noise.sigma": ("float", NoiseSpec.sigma),
     "noise.seed": ("int", NoiseSpec.seed),
@@ -97,11 +101,14 @@ def _typed(key: str, value: str) -> tuple[str, object]:
         raise ConfigError(f"bad value for {key}: {e}")
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
     """Parse key=value lines into a typed dict; unknown keys are errors."""
     out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -136,6 +143,7 @@ class ResolvedConfig:
     phantom: PhantomSpec | None
     input_reference: Path | None
     input_deformed: Path | None
+    input_phase: Path | None
     carrier: CarrierSpec
     noise: NoiseSpec
     demod: DemodParams
@@ -220,6 +228,10 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
                         threshold_fraction=cfg["cwt.threshold_fraction"])
         if cfg["render.contour_levels"] < 1:
             raise ConfigError("render.contour_levels must be >= 1")
+        for key, (type_name, _) in SCHEMA.items():
+            if type_name == "str" and not _reads_back(key, cfg[key]):
+                raise ConfigError(f"{key} value {cfg[key]!r} would not read "
+                                  "back from the config echo")
     except ConfigError:
         raise
     except (FringescaleError, ValueError) as e:
@@ -231,6 +243,7 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
         phantom=phantom,
         input_reference=Path(ref_in) if ref_in else None,
         input_deformed=Path(def_in) if def_in else None,
+        input_phase=Path(cfg["input.phase"]) if cfg["input.phase"] else None,
         carrier=carrier,
         noise=noise,
         demod=demod,
@@ -252,9 +265,21 @@ def _format_value(type_name: str, value: object) -> str:
     return str(value)
 
 
+def _echo_line(key: str, value: object) -> str:
+    return f"{key} = {_format_value(SCHEMA[key][0], value)}"
+
+
+def _reads_back(key: str, value: object) -> bool:
+    """Whether key's echo line parses back to value: a newline, a
+    whitespace-led ``#`` or an outer space in a text value would not."""
+    try:
+        return parse_config_text(_echo_line(key, value)) == {key: value}
+    except ConfigError:
+        return False
+
+
 def echo_text(rc: ResolvedConfig) -> str:
     """Render the fully resolved configuration back to key=value lines."""
     lines = ["# resolved configuration (all defaults materialized)"]
-    for key, (type_name, _) in SCHEMA.items():
-        lines.append(f"{key} = {_format_value(type_name, rc.raw[key])}")
+    lines += [_echo_line(key, rc.raw[key]) for key in SCHEMA]
     return "\n".join(lines) + "\n"

@@ -242,14 +242,8 @@ class CwtSweep:
     cropped and masked, then finish_plane normalizes and thresholds it
     as params say, and divisor is the peak it was divided by (1.0 when
     it was not normalized). No plane is kept once it has been handed
-    out.
-
-    With padding on, each axis of n pixels gets the 5-smooth length at
-    or above n + 2 * min(ceil(HAT_REACH * alpha), ceil(2 * max(scales))),
-    and the input sits centred (see the module docstring). Scales
-    increase, so the padded shape never shrinks along the sweep: one
-    padded spectrum is held at a time, and the forward FFT runs once per
-    padded shape.
+    out. The padding rule, and why one padded spectrum is held at a
+    time, are in the module docstring.
     """
 
     def __init__(self, phase, params: CwtParams):
@@ -340,10 +334,8 @@ def cwt_plane(phase, alpha: float, *, pad: bool = False) -> ScalarField:
     one-scale sweep with no normalization and no threshold.
 
     pad=False (default) keeps the exact periodic convention. pad=True
-    edge-pads each axis of n pixels to the 5-smooth length at or above
-    n + 2 * ceil(2 * alpha), the sweep's rule for one scale, with the
-    input centred, and crops the result, for production use on
-    non-periodic data.
+    pads by the sweep's rule for one scale (module docstring) and crops
+    the result, for production use on non-periodic data.
     """
     params = CwtParams((alpha,), threshold_fraction=0.0, normalize=False, pad=pad)
     return next(CwtSweep(phase, params))[1]

@@ -19,7 +19,6 @@ an atomic rename.
 from __future__ import annotations
 
 import os
-import sys
 import tempfile
 from pathlib import Path
 
@@ -52,18 +51,13 @@ def atomic_write_bytes(path: str | Path, *chunks) -> None:
         raise
 
 
-def _le64(values: np.ndarray) -> np.ndarray:
-    if sys.byteorder == "little":
-        return np.ascontiguousarray(values, dtype=np.float64)
-    return values.astype("<f8")
-
-
 def write_field(path: str | Path, f: ScalarField) -> None:
     """Serialize a field to FGRID, with the mask section iff one exists.
     The arrays are written from their own buffers: a bool is a 0/1 byte."""
     has_mask = 1 if f.mask is not None else 0
     header = f"FGRID {FGRID_VERSION} {f.grid.width} {f.grid.height} {has_mask}\n"
-    chunks = [header.encode("ascii"), _le64(f.values)]
+    chunks = [header.encode("ascii"),
+              np.ascontiguousarray(f.values, dtype="<f8")]
     if has_mask:
         chunks.append(f.mask.view(np.uint8))
     atomic_write_bytes(path, *chunks)

@@ -332,26 +332,18 @@ def _usable_cpus() -> int:
 
 def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
     """Ridge scan over the frequency grid, with the winners of an
-    exhaustive scan.
+    exhaustive scan, as a RidgeResult.
 
     Per pixel, keeps the (u, v) grid point maximizing the response
-    magnitude; ties resolve to the smallest u, then v. Masked pixels get
-    phase 0; their ridge values are computed but carry no meaning. The
-    row stage runs once per u, hoisted out of the loop over v, where
-    nearly all the time goes.
+    magnitude; ties resolve to the smallest u, then v, whatever the
+    thread count. Masked pixels get phase 0; their ridge values are
+    computed but carry no meaning. The module docstring gives the
+    pruning bound, the thread split and why every buffer is made in the
+    calling thread.
 
-    For each u, a column runs its v loop only when its bound
-    (B_u + eps_x)^2 (1 + delta) reaches the running best somewhere, B_u
-    being the window-weighted column sum of |c_u| and eps_x the
-    transforms' round-off allowance (module docstring). The u grid,
-    sorted by distance from the band centre, is dealt round-robin to
-    k = min(len(us), usable CPUs) threads; each thread's first u scans
-    every column. A candidate is taken when its mag2 beats the best, or
-    equals it with a smaller flat grid index, so the result equals the
-    one-thread ascending scan bit for bit. Every buffer a thread writes
-    is made here, in the calling thread: at 512^2, thread-made
-    temporaries stayed resident in glibc's per-thread arenas (about
-    27 MB) and raised the peak RSS of the later unwrap step by as much.
+    Raises EmptyBandError for a band that holds no grid frequency,
+    BadFrequencyError for one that reaches Nyquist, and NumericError for
+    an image large enough to overflow the single-precision scan.
     """
     us = frequency_grid(params.band_x, params.step)
     vs = frequency_grid(params.band_y, params.step)

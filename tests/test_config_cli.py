@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fringescale import (
     ConfigError,
@@ -36,6 +37,11 @@ class TestParse:
     def test_comments_and_blanks(self):
         text = "# full line\n\ngrid.width = 64  # trailing\n   \n"
         assert parse_config_text(text) == {"grid.width": 64}
+
+    def test_hash_inside_a_value_is_kept(self):
+        text = "out.dir = run#1/s\nrun.label = a#b # note\n#x = 1\n"
+        assert parse_config_text(text) == {"out.dir": "run#1/s",
+                                           "run.label": "a#b"}
 
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError, match=":3:.*grid.depth"):
@@ -153,6 +159,26 @@ class TestResolve:
         echoed = parse_config_text(echo_text(rc))
         rc2 = resolve(echoed)
         assert rc2.raw == rc.raw
+
+    @pytest.mark.parametrize("value", [" x", "x ", "a\nb", "a\rb", "a #b",
+                                       "a\t#b", "#b"])
+    def test_value_that_would_not_echo_back_refused(self, value):
+        with pytest.raises(ConfigError, match="read back"):
+            resolve({"run.label": value})
+
+    @pytest.mark.parametrize("value", ["run#1/s", "a=b", "", "x y"])
+    def test_value_that_echoes_back_kept(self, value):
+        rc = resolve({"out.dir": value})
+        assert parse_config_text(echo_text(rc))["out.dir"] == value
+
+    @given(st.text(), st.sampled_from([("run.label",), ("out.dir",),
+                                       ("input.reference", "input.deformed")]))
+    def test_text_value_refused_or_echoed_exactly(self, text, keys):
+        try:
+            rc = resolve(dict.fromkeys(keys, text))
+        except ConfigError:
+            return
+        assert parse_config_text(echo_text(rc)) == rc.raw
 
     def test_echo_contains_derived_band(self):
         text = echo_text(resolve({}))
@@ -272,20 +298,61 @@ class TestCliDemodCwt:
         assert (cwt_out / "plane_000_alpha2.fgrid").exists()
         assert (cwt_out / "plane_001_alpha5.fgrid").exists()
 
-    def test_demod_echo_reproduces_the_run(self, tmp_path):
-        synth_out = tmp_path / "s"
-        assert main(["synth", "--out", str(synth_out)] + FAST) == 0
-        first, again = tmp_path / "d1", tmp_path / "d2"
-        assert main(["demod", "--out", str(first),
-                     "--reference", str(synth_out / "reference.fgrid"),
-                     "--deformed", str(synth_out / "deformed.fgrid")]
-                    + FAST) == 0
+    @pytest.mark.parametrize("command", ["synth", "demod", "cwt", "pipeline"])
+    def test_echo_reproduces_the_run(self, tmp_path, command):
+        # a '#' inside a path is part of the value, not a comment
+        src = tmp_path / "in#1"
+        assert main(["synth", "--out", str(src)] + FAST) == 0
+        inputs = {
+            "synth": [], "pipeline": [],
+            "demod": ["--reference", str(src / "reference.fgrid"),
+                      "--deformed", str(src / "deformed.fgrid")],
+            "cwt": ["--phase", str(src / "phase_true.fgrid")],
+        }[command]
+        first, again = tmp_path / "run#1" / "o", tmp_path / "again#2"
+        assert main([command, "--out", str(first)] + FAST + inputs) == 0
         echo = (first / "config_echo.txt").read_text()
-        assert f"input.reference = {synth_out / 'reference.fgrid'}" in echo
-        assert main(["demod", "--config", str(first / "config_echo.txt"),
+        assert f"out.dir = {first}\n" in echo
+        assert main([command, "--config", str(first / "config_echo.txt"),
                      "--out", str(again)]) == 0
-        assert ((first / "phase.fgrid").read_bytes()
-                == (again / "phase.fgrid").read_bytes())
+        names = sorted(q.name for q in first.iterdir())
+        assert names == sorted(q.name for q in again.iterdir())
+        assert any(n.endswith(".fgrid") for n in names)
+        for name in names:
+            if name != "config_echo.txt":
+                assert (first / name).read_bytes() == (again / name).read_bytes(), name
+        assert ((again / "config_echo.txt").read_text()
+                == echo.replace(f"out.dir = {first}\n", f"out.dir = {again}\n"))
+
+    def test_hash_in_paths_survives_the_echo(self, tmp_path, monkeypatch):
+        # the echo once read run#1/s as run, and demod inputs under run#1/
+        # as the missing file run
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out", "run#1/s"] + FAST) == 0
+        assert main(["synth", "--config", "run#1/s/config_echo.txt"]) == 0
+        assert main(["demod", "--out", "run#1/d",
+                     "--reference", "run#1/s/reference.fgrid",
+                     "--deformed", "run#1/s/deformed.fgrid"] + FAST) == 0
+        assert main(["demod", "--config", "run#1/d/config_echo.txt",
+                     "--out", "d2"]) == 0
+        assert not (tmp_path / "run").exists()
+        assert ((tmp_path / "run#1/d/phase.fgrid").read_bytes()
+                == (tmp_path / "d2/phase.fgrid").read_bytes())
+
+    @pytest.mark.parametrize("override", [["--out", "o "], ["--out", " o"],
+                                          ["--set", "run.label=a #b"]])
+    def test_value_the_echo_would_change_exits_2(self, tmp_path, monkeypatch,
+                                                 capsys, override):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth"] + FAST + override) == 2
+        assert "read back" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_cwt_without_phase_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["cwt", "--out", str(out)] + FAST) == 2
+        assert "cwt needs a --phase field" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["demod", "pipeline"])
     def test_pair_overflowing_the_scan_exits_4(self, tmp_path, capsys, command):
