@@ -6,7 +6,8 @@ The input is the deformed image of the README quick-start rib step
 B x B frequencies at step 0.005 and a 10-px window. For each size and
 band the script prints the median wall time of `wft.demodulate` over
 --repeat calls (image synthesis excluded), the share of (u, column)
-pairs whose v loop the scan ran, out of len(us) * n, and, against
+pairs whose v loop the scan ran, out of len(us) * n, the padded FFT
+lengths nx x ny of the row and column transforms, and, against
 tests/oracles.py::float64_demodulate, the valid pixels whose winning
 (u, v) moved and the largest wrapped phase gap where it did not. The
 double-precision scan runs every (u, v) on every column, so it takes
@@ -39,9 +40,10 @@ def rib_step_image(n: int):
                         NoiseSpec(sigma=0.02, seed=12345)).deformed
 
 
-def scan_once(img, params) -> tuple[float, int, wft.RidgeResult]:
-    """Wall time of one scan, the (u, column) pairs its chunks scanned,
-    read from the chunks it makes, and its result."""
+def scan_once(img, params) -> tuple[float, int, str, wft.RidgeResult]:
+    """Wall time of one scan, the (u, column) pairs its chunks scanned
+    and its padded FFT lengths nx x ny, read from the chunks it makes,
+    and its result."""
     chunks, init = [], wft._ChunkScan.__init__
 
     def record(chunk, *args):
@@ -55,7 +57,8 @@ def scan_once(img, params) -> tuple[float, int, wft.RidgeResult]:
         elapsed = time.perf_counter() - start
     finally:
         wft._ChunkScan.__init__ = init
-    return elapsed, sum(c.scanned for c in chunks), ridge
+    padded = f"{chunks[0].rows.shape[1]}x{chunks[0].col_kernels.shape[1]}"
+    return elapsed, sum(c.scanned for c in chunks), padded, ridge
 
 
 def oracle_gap(img, params, ridge) -> tuple[int, float]:
@@ -79,7 +82,7 @@ def main() -> None:
 
     step = 0.005
     print(f"usable CPUs {wft._usable_cpus()}")
-    print("size   band   scan_s  scanned_share  moved  phase_gap_rad")
+    print("size   band     padded  scan_s  scanned_share  moved  phase_gap_rad")
     for n in args.sizes:
         img = rib_step_image(n)
         for b in args.bands:
@@ -90,8 +93,9 @@ def main() -> None:
             n_u = len(wft.frequency_grid(params.band_x, step))
             runs = [scan_once(img, params) for _ in range(args.repeat)]
             share = runs[0][1] / (n_u * n)
-            moved, gap = oracle_gap(img, params, runs[0][2])
-            print(f"{n:4d}  {b:2d}x{b:<2d}  {statistics.median(r[0] for r in runs):7.3f}"
+            moved, gap = oracle_gap(img, params, runs[0][3])
+            print(f"{n:4d}  {b:2d}x{b:<2d}  {runs[0][2]:>9s}"
+                  f"  {statistics.median(r[0] for r in runs):6.3f}"
                   f"  {share:13.3f}  {moved:5d}  {gap:13.2e}")
 
 

@@ -114,7 +114,7 @@ def _write_phase(rc: cfgmod.ResolvedConfig, reference: ScalarField,
     phase exists."""
     ref_phase = demodulate(reference, rc.demod).phase
     dfm_ridge = demodulate(deformed, rc.demod)
-    phase = unwrap(relative_phase(dfm_ridge, ref_phase),
+    phase = unwrap(relative_phase(dfm_ridge.phase, ref_phase),
                    quality=dfm_ridge.ridge_amplitude)
     if rc.anchor is not None:
         phase = anchor_far_field(phase, rc.anchor)

@@ -5,9 +5,9 @@ start of a line or after whitespace starts a comment (``run#1`` is a
 value) and blank lines are ignored. Unknown keys are errors, so typos
 fail loudly. Every run writes back a fully resolved echo in the same
 format with every default materialized (including values derived from
-others, like the ridge band around the carrier frequency), which makes
-any output directory reproducible from its echo alone; a value whose
-echo line would not read back as itself is refused.
+others, like the ridge band around the carrier frequency, and paths made
+absolute), so any output directory re-runs from its echo alone, from any
+directory; a value whose echo line would not read back as itself is refused.
 
 The noise generator is pinned: ``noise.rng`` only accepts philox4x64
 (numpy's counter-based Philox bit generator) and is echoed so output
@@ -16,6 +16,7 @@ provenance records the algorithm.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,6 +162,9 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
             raise ConfigError(f"unknown config key {key!r}")
     cfg = {key: default for key, (_, default) in SCHEMA.items()}
     cfg.update(values)
+    for key in ("out.dir", "input.reference", "input.deformed", "input.phase"):
+        if cfg[key]:  # against the working directory; empty means unset
+            cfg[key] = os.path.abspath(cfg[key])
     if cfg["noise.rng"] != RNG_NAME:
         raise ConfigError(
             f"noise.rng is pinned to {RNG_NAME!r}, got {cfg['noise.rng']!r}")
@@ -229,8 +233,10 @@ def resolve(values: dict[str, object]) -> ResolvedConfig:
         if cfg["render.contour_levels"] < 1:
             raise ConfigError("render.contour_levels must be >= 1")
         for key, (type_name, _) in SCHEMA.items():
-            if type_name == "str" and not _reads_back(key, cfg[key]):
-                raise ConfigError(f"{key} value {cfg[key]!r} would not read "
+            given = values.get(key, cfg[key])  # a path: as given and made absolute
+            if type_name == "str" and not (_reads_back(key, given)
+                                           and _reads_back(key, cfg[key])):
+                raise ConfigError(f"{key} value {given!r} would not read "
                                   "back from the config echo")
     except ConfigError:
         raise

@@ -170,15 +170,13 @@ def wrap_phase(x):
     return out
 
 
-def next_fast_len(n: int, real: bool = False) -> int:
-    """The smallest length >= n with no prime factor above 5 (real=True)
-    or 11 (real=False): the lengths pocketfft transforms fastest, the
-    same that scipy.fft.next_fast_len picks."""
-    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+def next_fast_len(n: int) -> int:
+    """The smallest length >= n with no prime factor above 5, the one rule
+    for every padded FFT here; scipy.fft.next_fast_len's for real input."""
     m = max(n, 1)
     while True:
         k = m
-        for p in primes:
+        for p in (2, 3, 5):
             while k % p == 0:
                 k //= p
         if k == 1:

@@ -296,8 +296,7 @@ class CwtSweep:
         """
         h, w = self._field.grid.shape
         margin = min(int(np.ceil(HAT_REACH * alpha)), self._max_margin)
-        shape = tuple(next_fast_len(n + 2 * margin, real=True) if margin else n
-                      for n in (h, w))
+        shape = tuple(next_fast_len(n + 2 * margin) if margin else n for n in (h, w))
         return shape, ((shape[0] - h) // 2, (shape[1] - w) // 2)
 
     @np.errstate(over="ignore", invalid="ignore")  # finish_plane refuses the result

@@ -12,15 +12,16 @@ The window is truncated at radius r = ceil(4 sigma) and pixels beyond
 the image edge contribute zero, which is exactly a zero-padded linear
 convolution; it is evaluated with separable FFT convolutions along rows
 then columns. Each axis of n pixels is padded to next_fast_len(max(n + r,
-2r + 1)) bins: the circular wrap then reaches back only into zero
-padding, so the first n outputs equal the linear convolution, and the
-2r + 1 taps each keep their own bin. The scan runs in single precision
-(complex64); the winning response and its squared magnitude are widened
-to float64 before the phase and the ridge amplitude are taken. Because
-the exponential is re-referenced to the window center, the argument of
-the response at the ridge equals the total local fringe phase regardless
-of which frequency grid point the ridge search picked, so subtracting
-reference from deformed cancels the carrier term identically.
+2r + 1)) bins, 5-smooth as the CWT's: the circular wrap then reaches
+back only into zero padding, so the first n outputs equal the linear
+convolution, and the 2r + 1 taps each keep their own bin. The scan runs
+in single precision (complex64); the winning response and its squared
+magnitude are widened to float64 before the phase and the ridge
+amplitude are taken. Because the exponential is re-referenced to the
+window center, the argument of the response at the ridge equals the
+total local fringe phase regardless of which frequency grid point the
+ridge search picked, so subtracting reference from deformed cancels the
+carrier term identically.
 
 Every transform is numpy.fft's pocketfft, through out= buffers. A
 complex64 transform stays single precision and in place only with a
@@ -61,8 +62,8 @@ first on ties) and dealt round-robin to k = min(len(us), usable CPUs)
 threads, thread t taking order[t::k], so every thread starts near the
 ridge; numpy's ufuncs and numpy.fft release the interpreter lock, so the
 threads run in parallel (two threads scan 512^2 about 1.5x faster than
-one). A thread's first u scans every column, so its best holds a real
-candidate everywhere before any bound is tested. No thread scans in
+one). A thread's first u passes the bound at every column, as its best
+mag2 starts at -1 and the bound is never negative. No thread scans in
 ascending order, so a candidate is taken when mag2 > best, or when
 mag2 == best and its flat grid index is smaller, both within a thread
 and in the merge of the threads' bests. The winner is then the maximum
@@ -117,11 +118,11 @@ class DemodParams:
     """Ridge search parameters.
 
     band_x and band_y are inclusive frequency intervals in cycles/px,
-    scanned with the given step; both must sit inside the open Nyquist
-    interval (-0.5, 0.5). window_sigma is the Gaussian window width in
-    pixels. for_carrier builds the defaults for a given carrier
-    frequency: band_x = fx +- 0.1, band_y = +-0.1, step 0.005,
-    window_sigma 10.
+    scanned with the given step; both, and each frequency_grid point,
+    must sit inside the open Nyquist interval (-0.5, 0.5). window_sigma
+    is the Gaussian window width in pixels. for_carrier builds the
+    defaults for a given carrier frequency: band_x = fx +- 0.1,
+    band_y = +-0.1, step 0.005, window_sigma 10.
     """
 
     band_x: tuple[float, float]
@@ -142,6 +143,11 @@ class DemodParams:
                                        self.band_y[1] - self.band_y[0])):
             raise BadSpecError(
                 f"step must be positive and no wider than the bands, got {self.step}")
+        for name in ("band_x", "band_y"):
+            # the grid's tolerance can land its last point past hi
+            last = float(frequency_grid(getattr(self, name), self.step)[-1])
+            if last >= 0.5:
+                raise BadFrequencyError(f"{name} grid frequency {last!r} reaches Nyquist")
         if not (self.window_sigma > 0.0 and np.isfinite(self.window_sigma)):
             raise BadSpecError(f"window_sigma must be positive, got {self.window_sigma}")
 
@@ -232,19 +238,17 @@ class _ChunkScan:
         self.tie = np.empty(h * w, dtype=bool)
         self.eps = np.empty(w + w % 2, dtype=np.float32)  # eps_x, per column
         self.reach = np.empty(w, dtype=bool)
-        self.every_column = np.arange(w)
 
     def scan(self, u_index: np.ndarray) -> None:
-        """Scan the u grid indices u_index, in that order, against every v;
-        the first scans every column, the others only the columns
-        _reachable leaves."""
+        """Scan the u grid indices u_index, in that order, against every v,
+        each on the columns _reachable leaves."""
         h = self.best_mag2.shape[0]
         ny = self.col_kernels.shape[1]
         best = (self.best_mag2, self.best_resp, self.best_idx)
-        for n, i in enumerate(u_index):
+        for i in u_index:
             rows = np.multiply(self.row_fft, self.row_kernels[i], out=self.rows)
             rows = np.fft.ifft(rows, axis=1, out=rows)
-            x = self.every_column if n == 0 else self._reachable(rows)
+            x = self._reachable(rows)
             m = len(x)
             if not m:
                 continue
@@ -341,15 +345,12 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
     pruning bound, the thread split and why every buffer is made in the
     calling thread.
 
-    Raises EmptyBandError for a band that holds no grid frequency,
-    BadFrequencyError for one that reaches Nyquist, and NumericError for
-    an image large enough to overflow the single-precision scan.
+    Raises NumericError for an image large enough to overflow the
+    single-precision scan. DemodParams already refuses a band whose grid
+    reaches Nyquist.
     """
     us = frequency_grid(params.band_x, params.step)
     vs = frequency_grid(params.band_y, params.step)
-    for f in (us[0], us[-1], vs[0], vs[-1]):
-        if abs(f) >= 0.5:
-            raise BadFrequencyError(f"band frequency {f} reaches Nyquist")
     h, w = shape = img.grid.shape
     t, taps = _window_taps(params.window_sigma)
     # mag2 <= (max|img| (sum w)^2)^2 must stay finite in float32, 4x to spare
@@ -390,24 +391,19 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
     )
 
 
-def _phase_of(x) -> PhaseMap:
-    return x.phase if isinstance(x, RidgeResult) else x
-
-
-def relative_phase(deformed, reference) -> PhaseMap:
+def relative_phase(deformed: PhaseMap, reference: PhaseMap) -> PhaseMap:
     """Wrapped per-pixel difference deformed - reference in (-pi, pi].
 
-    Because both arguments carry the carrier identically, the difference
+    Because both phase maps carry the carrier identically, the difference
     is the wrapped deformation phase alone. Masks AND together and newly
     invalid pixels are zeroed.
     """
-    d = _phase_of(deformed)
-    r = _phase_of(reference)
+    d, r = deformed.field, reference.field
     if d.grid != r.grid:
         raise GridMismatchError("relative_phase needs matching grids")
-    valid = d.field.valid() & r.field.valid()
-    diff = np.where(valid, wrap_phase(d.field.values - r.field.values), 0.0)
-    mask = None if (d.field.mask is None and r.field.mask is None) else valid
+    valid = d.valid() & r.valid()
+    diff = np.where(valid, wrap_phase(d.values - r.values), 0.0)
+    mask = None if (d.mask is None and r.mask is None) else valid
     return PhaseMap(ScalarField(d.grid, diff, mask), wrapped=True)
 
 

@@ -170,7 +170,7 @@ def test_demodulation_accuracy():
         ridge_r = demodulate(pair.reference, params)
         t2 = time.perf_counter()
         worst = max(worst, t1 - t0, t2 - t1)
-        rec = unwrap(relative_phase(ridge_d, ridge_r),
+        rec = unwrap(relative_phase(ridge_d.phase, ridge_r.phase),
                      quality=ridge_d.ridge_amplitude)
         rec = anchor_far_field(rec, (0, 0, 64, 64))
         err = rec.field.values - truth.field.values

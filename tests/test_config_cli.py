@@ -168,8 +168,10 @@ class TestResolve:
 
     @pytest.mark.parametrize("value", ["run#1/s", "a=b", "", "x y"])
     def test_value_that_echoes_back_kept(self, value):
+        # a path echoes absolute; empty still means unset
         rc = resolve({"out.dir": value})
-        assert parse_config_text(echo_text(rc))["out.dir"] == value
+        want = os.path.abspath(value) if value else ""
+        assert parse_config_text(echo_text(rc))["out.dir"] == want
 
     @given(st.text(), st.sampled_from([("run.label",), ("out.dir",),
                                        ("input.reference", "input.deformed")]))
@@ -338,6 +340,37 @@ class TestCliDemodCwt:
         assert not (tmp_path / "run").exists()
         assert ((tmp_path / "run#1/d/phase.fgrid").read_bytes()
                 == (tmp_path / "d2/phase.fgrid").read_bytes())
+
+    def test_echo_reruns_from_any_directory(self, tmp_path, monkeypatch):
+        # a relative input once echoed as given, so the re-run from a
+        # sibling directory read a missing file and exited 3
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        monkeypatch.chdir(a)
+        assert main(["synth", "--out", "s"] + FAST) == 0
+        assert main(["cwt", "--phase", "s/phase_true.fgrid", "--out", "c"] + FAST) == 0
+        echo = (a / "c" / "config_echo.txt").read_text()
+        assert f"input.phase = {Path.cwd() / 's' / 'phase_true.fgrid'}\n" in echo
+        monkeypatch.chdir(b)
+        assert main(["cwt", "--config", "../a/c/config_echo.txt", "--out", "c2"]) == 0
+        names = sorted(q.name for q in (a / "c").iterdir())
+        assert names == sorted(q.name for q in (b / "c2").iterdir())
+        for name in names:
+            if name != "config_echo.txt":
+                assert (a / "c" / name).read_bytes() == (b / "c2" / name).read_bytes()
+
+    def test_band_grid_reaching_nyquist_exits_2_before_any_output(
+            self, tmp_path, capsys):
+        # band_x_hi is inside Nyquist, but the grid's last point is 0.5
+        out = tmp_path / "o"
+        assert main(["pipeline", "--out", str(out),
+                     "--set", "grid.width=64", "--set", "grid.height=64",
+                     "--set", "demod.band_x_lo=0.3",
+                     "--set", "demod.band_x_hi=0.499999999999",
+                     "--set", "demod.step=0.1"]) == 2
+        assert "reaches Nyquist" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", [["--out", "o "], ["--out", " o"],
                                           ["--set", "run.label=a #b"]])

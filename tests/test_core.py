@@ -172,25 +172,21 @@ class TestPhaseMap:
 
 
 class TestNextFastLen:
-    PRIMES = {True: (2, 3, 5), False: (2, 3, 5, 7, 11)}
-
     @staticmethod
-    def smooth(m, primes):
-        for p in primes:
+    def smooth(m):
+        for p in (2, 3, 5):
             while m % p == 0:
                 m //= p
         return m == 1
 
-    @pytest.mark.parametrize("real", [True, False])
-    def test_smallest_smooth_length_at_least_n(self, real):
-        lengths = [m for m in range(1, 8192) if self.smooth(m, self.PRIMES[real])]
+    def test_smallest_smooth_length_at_least_n(self):
+        lengths = [m for m in range(1, 8192) if self.smooth(m)]
         for n in range(1, 4097):
-            got = next_fast_len(n, real=real)
-            assert got >= n and self.smooth(got, self.PRIMES[real]), n
+            got = next_fast_len(n)
+            assert got >= n and self.smooth(got), n
             assert got == lengths[bisect.bisect_left(lengths, n)], n
 
-    @pytest.mark.parametrize("real", [True, False])
-    def test_matches_scipy(self, real):
+    def test_matches_scipy(self):
         sfft = pytest.importorskip("scipy.fft")
         for n in range(1, 4097):
-            assert next_fast_len(n, real=real) == sfft.next_fast_len(n, real=real), n
+            assert next_fast_len(n) == sfft.next_fast_len(n, real=True), n

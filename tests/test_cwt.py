@@ -554,8 +554,7 @@ class TestPaddedGrid:
             padded, before = sweep._grid(alpha)
             after = tuple(p - n - b for p, n, b in zip(padded, shape, before))
             margin = min(math.ceil(HAT_REACH * alpha), math.ceil(2.0 * max(scales)))
-            assert padded == tuple(next_fast_len(n + 2 * margin, real=True)
-                                   for n in shape), alpha
+            assert padded == tuple(next_fast_len(n + 2 * margin) for n in shape), alpha
             assert min(before + after) >= margin, alpha
             # centred, so the pads follow from the padded shape alone
             assert before == tuple((p - n) // 2 for p, n in zip(padded, shape)), alpha

@@ -1,7 +1,9 @@
-"""Smoke tests for the runnable demos under scripts/.
+"""Smoke tests for the runnable demos under scripts/ and the README's
+library example.
 
 Each script runs in a fresh interpreter, as a user runs it, at a small
-size, and must exit 0 and write its files.
+size, and must exit 0 and write its files; the README example runs as
+printed.
 """
 
 import math
@@ -13,12 +15,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_python(*argv):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, *argv],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_readme_library_example_runs_as_printed():
+    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", block)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["3.0", "10.0", "50.0", "100.0"]
+    assert all(line.endswith("(512, 512)") for line in lines)
 
 
 def test_rib_plume_demo(tmp_path):
@@ -51,10 +67,11 @@ def test_scan_scaling():
     proc = run_script("scan_scaling.py", "--sizes", "48", "--bands", "3", "--repeat", "1")
     assert proc.returncode == 0, proc.stderr
     head, row = proc.stdout.splitlines()[-2:]
-    assert head.split() == ["size", "band", "scan_s", "scanned_share", "moved",
-                            "phase_gap_rad"]
-    size, band, seconds, share, moved, gap = row.split()
-    assert (size, band) == ("48", "3x3")
+    assert head.split() == ["size", "band", "padded", "scan_s", "scanned_share",
+                            "moved", "phase_gap_rad"]
+    size, band, padded, seconds, share, moved, gap = row.split()
+    # r = 40: next_fast_len(max(48 + 40, 81)) is the 5-smooth 90
+    assert (size, band, padded) == ("48", "3x3", "90x90")
     assert float(seconds) > 0 and 0 < float(share) <= 1
     assert moved == "0" and 0 < float(gap) <= 1e-6
 

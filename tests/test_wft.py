@@ -128,6 +128,14 @@ class TestDemodParams:
         with pytest.raises(BadFrequencyError):
             DemodParams(band_x=(0.3, 0.6))
 
+    def test_band_grid_reaching_nyquist(self):
+        # hi sits inside Nyquist, but the grid's tolerance lands its last
+        # point, 0.3 + 2 * 0.1, on 0.5
+        with pytest.raises(BadFrequencyError, match="reaches Nyquist"):
+            DemodParams(band_x=(0.3, 0.499999999999), step=0.1)
+        with pytest.raises(BadFrequencyError, match="band_y"):
+            DemodParams(band_x=(0.1, 0.3), band_y=(0.3, 0.499999999999), step=0.1)
+
     def test_band_reversed(self):
         with pytest.raises(BadSpecError):
             DemodParams(band_x=(0.2, 0.1))
@@ -239,7 +247,7 @@ class TestDemodulateMatchesOracle:
         unwrapped = []
         for dfm, ref in zip(self.compare(pair.deformed, params),
                             self.compare(pair.reference, params)):
-            wrapped = relative_phase(dfm, ref)
+            wrapped = relative_phase(dfm.phase, ref.phase)
             unwrapped.append(unwrap(wrapped, quality=dfm.ridge_amplitude))
         turns = np.round((unwrapped[0].field.values
                           - unwrapped[1].field.values) / TWO_PI)
@@ -438,7 +446,8 @@ class TestThreadedScanMatchesSequential:
         params = DemodParams.for_carrier(0.125)
         demodulate(rib_step_pair(96, 0.1)[1].deformed, params)
         t, taps = wft._window_taps(params.window_sigma)
-        assert len(seen) == len(frequency_grid(params.band_x, params.step)) - 1
+        # every u runs the bound, a thread's first included
+        assert len(seen) == len(frequency_grid(params.band_x, params.step))
         for mags, reach, eps in seen:
             h = len(mags)
             direct = np.zeros_like(mags)
@@ -447,6 +456,28 @@ class TestThreadedScanMatchesSequential:
                 direct[lo:hi] += tap * mags[lo + s:hi + s]
             bound = np.sqrt(reach / (1.0 + wft.BOUND_SLACK)) - eps
             assert (np.abs(bound - direct) <= eps).all()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("image", ["rib_step", "zero"])
+    def test_first_u_reaches_every_column(self, scan_workers, monkeypatch,
+                                          workers, image):
+        # a fresh chunk's best mag2 is -1 and the bound is never negative,
+        # not even on the zero image, where it is exactly 0
+        scan_workers(workers)
+        first, reachable = {}, wft._ChunkScan._reachable
+
+        def record(chunk, rows):
+            columns = reachable(chunk, rows)
+            first.setdefault(id(chunk), columns)
+            return columns
+
+        monkeypatch.setattr(wft._ChunkScan, "_reachable", record)
+        img = (rib_step_pair(96, 0.1)[1].deformed if image == "rib_step"
+               else field_from_array(np.zeros((96, 96))))
+        demodulate(img, DemodParams.for_carrier(0.125))
+        assert len(first) == workers
+        for columns in first.values():
+            assert np.array_equal(columns, np.arange(96))
 
 
 class TestRelativePhase:
@@ -496,7 +527,7 @@ class TestRelativePhase:
         pair = make_fringes(truth, CarrierSpec(fx=0.125))
         rr = demodulate(pair.reference, SMALL_PARAMS)
         rd = demodulate(pair.deformed, SMALL_PARAMS)
-        rel = relative_phase(rd, rr)
+        rel = relative_phase(rd.phase, rr.phase)
         interior = interior_mask(grid, 15)
         assert np.abs(rel.field.values[interior] - 0.8).max() < 5e-3
 
@@ -668,7 +699,7 @@ class TestUnwrapMatchesFloodFill:
         grid = truth.grid
         params = DemodParams.for_carrier(0.125)
         ridge = demodulate(pair.deformed, params)
-        wrapped = relative_phase(ridge, demodulate(pair.reference, params))
+        wrapped = relative_phase(ridge.phase, demodulate(pair.reference, params).phase)
         valid = wrapped.field.valid()
         v = wrapped.field.values
         loops = (wrap_phase(v[:-1, 1:] - v[:-1, :-1]) + wrap_phase(v[1:, 1:] - v[:-1, 1:])
@@ -717,8 +748,8 @@ def forest_inputs(name, n=64):
     else:  # the rib step's relative phase, as the pipeline unwraps it
         _, pair = rib_step_pair(n, 0.1)
         params = DemodParams.for_carrier(0.125)
-        wrapped = relative_phase(demodulate(pair.deformed, params),
-                                 demodulate(pair.reference, params))
+        wrapped = relative_phase(demodulate(pair.deformed, params).phase,
+                                 demodulate(pair.reference, params).phase)
         return wrapped.field.values, wrapped.field.valid()
     return np.where(valid, vals, 0.0), valid
 
