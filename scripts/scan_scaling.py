@@ -26,6 +26,7 @@ import numpy as np
 
 from fringescale import (CarrierSpec, DemodParams, GridSpec, NoiseSpec,
                          PhantomSpec, make_fringes, make_phase, wft, wrap_phase)
+from fringescale.core import _usable_cpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import float64_demodulate  # noqa: E402
@@ -81,7 +82,7 @@ def main() -> None:
     args = ap.parse_args()
 
     step = 0.005
-    print(f"usable CPUs {wft._usable_cpus()}")
+    print(f"usable CPUs {_usable_cpus()}")
     print("size   band     padded  scan_s  scanned_share  moved  phase_gap_rad")
     for n in args.sizes:
         img = rib_step_image(n)

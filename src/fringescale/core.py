@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,6 +183,15 @@ def next_fast_len(n: int) -> int:
         if k == 1:
             return m
         m += 1
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the threads of the ridge scan and of
+    the wavelet sweep."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def masked_extrema(f: ScalarField) -> tuple[float, float]:

@@ -46,11 +46,26 @@ zero-fills it (a pruned FFT; Markel, IEEE Trans. Audio Electroacoust. 19,
 equal np.fft.irfft2 then crop bit for bit; the others differ from it by
 rounding only.
 
-Every transform is numpy.fft's pocketfft. The padded spectrum is an
-rfft along the rows, then an fft down the columns in place (out=),
-which is np.fft.rfft2 bit for bit without its second array; a plane is
-an ifft down the kept columns in place, then an irfft along the kept
-rows.
+Every transform is numpy.fft's pocketfft, run as a batch of independent
+1-D transforms, and the sweep splits each batch and each elementwise
+pass into contiguous slices of rows or columns, one per CPU the process
+may run on: worker threads take the first slices and the calling thread
+the last. The padded spectrum is an rfft over row slices, then an fft in
+place down column slices (out=), which is np.fft.rfft2 bit for bit
+without its second array. A plane takes three passes, each ended by
+waiting for the workers: over column slices of the kept box, the product
+with the multiplier, then an ifft in place down the columns; over row
+slices, an irfft along the kept rows, the crop and mask, and the slice's
+peak magnitude; over row slices again, the divide by the plane's peak
+and the threshold (finish_plane). A 1-D transform or an elementwise op
+gives the same bits on any slice, so the planes are the one-thread
+planes bit for bit at every CPU count. The calling thread makes every
+array a worker writes, and the workers write only through out=, copyto
+and in-place ops, for the reason the ridge scan's docstring in wft.py
+gives: glibc keeps what a thread allocates resident in its per-thread
+arena. A stage runs on the calling thread alone unless each slice gets
+SPLIT_MIN elements, and the worker threads start with the first stage
+that splits and end with the sweep.
 
 For production runs on real phase maps the input is edge-padded and
 the plane cropped after the transform to suppress wraparound, while
@@ -81,12 +96,14 @@ is over 4 alpha long, which keeps its lowest alpha |w| below pi/2.
 
 from __future__ import annotations
 
+import contextvars
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMap, ScalarField, next_fast_len
+from .core import PhaseMap, ScalarField, _usable_cpus, next_fast_len
 from .errors import AliasingWarning, AllMaskedError, BadScaleError, NumericError
 
 DISPLAY_SCALES = (3.0, 10.0, 50.0, 100.0)
@@ -100,6 +117,12 @@ HAT_REACH = 10.0
 # alpha |w| past which a plane drops the spectrum: the multiplier's shape
 # |w|^2 exp(-|w|^2 / 2) is 3.1e-18 of its peak 2/e at 9.5, below 1e-17.
 HAT_BAND = 9.5
+
+# Fewest elements a slice of a split stage takes. Handing a slice to a
+# worker thread and waiting for it took 20-140 us on a 2-vCPU x86 VM,
+# about what a slice this size costs, and splitting every stage made a
+# 192^2 sweep slower than one thread.
+SPLIT_MIN = 1 << 16
 
 
 def mexican_hat(x, y):
@@ -182,29 +205,36 @@ def _axis_dfts(n: int, alpha: float, half: bool) -> tuple[np.ndarray, np.ndarray
     return fft(g).real, fft(h).real
 
 
-def _plane_values(spectrum: np.ndarray, shape: tuple[int, int], alpha: float,
-                  rows: slice, cols: slice) -> np.ndarray:
-    """Plane at scale alpha from the real 2-D spectrum (np.fft.rfft2's
-    layout) of the (padded) input of shape, cropped to rows and cols.
+def _band(n: int, alpha: float) -> int:
+    """Bins kept along an axis of n: |k| < ceil(HAT_BAND n / (2 pi alpha))
+    + 1, at most the half spectrum; past them the multiplier is below
+    1e-17 of its peak."""
+    return min(n // 2 + 1, int(np.ceil(HAT_BAND * n / (2.0 * np.pi * alpha))) + 1)
 
-    Only the bins |k| < ceil(HAT_BAND L / (2 pi alpha)) + 1 along each
-    axis of L are multiplied; past them the multiplier is below 1e-17 of
-    its peak. That box sits in an (Ly, kx) buffer, 0 in its other rows;
-    an ifft runs down its kx columns, then an irfft with n = Lx along the
-    rows kept zero-fills the rest. When the box is the whole half
-    spectrum, the plane equals np.fft.irfft2 then crop bit for bit.
-    """
-    ly, lx = shape
-    ky, kx = (min(n // 2 + 1, int(np.ceil(HAT_BAND * n / (2.0 * np.pi * alpha))) + 1)
-              for n in shape)
-    gy, hy = _axis_dfts(ly, alpha, half=False)
-    gx, hx = (v[:kx] for v in _axis_dfts(lx, alpha, half=True))
-    product = np.zeros((ly, kx), dtype=spectrum.dtype)
-    for part in (slice(0, ky), slice(ly - ky + 1, ly)):
-        product[part] = spectrum[part, :kx] * ((gy[part, None] * (2.0 * gx - hx)[None, :]
-                                                - hy[part, None] * gx[None, :]) / alpha)
-    product = np.fft.ifft(product, axis=0, out=product)[rows]
-    return np.fft.irfft(product, n=lx, axis=1)[:, cols]
+
+def _plane_scale(peak: float, normalize: bool, fraction: float) -> tuple[float, float]:
+    """The divisor of a plane whose peak magnitude is peak, and the cut on
+    the magnitude of the divided plane (finish_plane). NumericError when
+    peak is not finite."""
+    if not np.isfinite(peak):
+        raise NumericError("wavelet plane is not finite; the phase overflows")
+    divisor = peak if normalize and peak > 0.0 else 1.0
+    return divisor, fraction * (peak / divisor)
+
+
+def _finish_rows(values: np.ndarray, below: np.ndarray, above: np.ndarray,
+                 divisor: float, cut: float) -> None:
+    """Divide values by divisor, then zero those whose magnitude is below
+    cut, in place; below and above are scratch masks."""
+    if divisor != 1.0:
+        values /= divisor
+    if cut > 0.0:
+        # |v| < cut exactly when -cut < v < cut: negation is exact, and
+        # neither holds for NaN
+        np.less(values, cut, out=below)
+        np.greater(values, -cut, out=above)
+        np.logical_and(below, above, out=below)
+        np.copyto(values, 0.0, where=below)
 
 
 def finish_plane(values: np.ndarray, normalize: bool, fraction: float) -> float:
@@ -216,20 +246,12 @@ def finish_plane(values: np.ndarray, normalize: bool, fraction: float) -> float:
     zero), so a plane with any signal ends up with peak exactly 1.
     Values whose magnitude is strictly below fraction * peak are then
     zeroed, keeping the boundary value itself; fraction 0 zeroes none.
-    A plane that is not finite raises NumericError.
+    A plane that is not finite raises NumericError. The sweep does the
+    same by row slices.
     """
-    # |v / p| is |v| / p exactly, so one magnitude array serves the peak
-    # and the threshold
-    magnitude = np.abs(values)
-    peak, divisor = float(magnitude.max()), 1.0
-    if not np.isfinite(peak):
-        raise NumericError("wavelet plane is not finite; the phase overflows")
-    if normalize and peak > 0.0:
-        values /= peak
-        magnitude /= peak
-        peak, divisor = 1.0, peak
-    if fraction > 0.0:
-        np.copyto(values, 0.0, where=magnitude < fraction * peak)
+    divisor, cut = _plane_scale(float(np.abs(values).max()), normalize, fraction)
+    _finish_rows(values, np.empty(values.shape, dtype=bool),
+                 np.empty(values.shape, dtype=bool), divisor, cut)
     return divisor
 
 
@@ -239,11 +261,13 @@ class CwtSweep:
     Construction checks the input (AllMaskedError, AliasingWarning;
     CwtParams has already refused bad scales). Each step of the iteration
     then yields (alpha, plane, divisor) for the next scale: the plane is
-    cropped and masked, then finish_plane normalizes and thresholds it
-    as params say, and divisor is the peak it was divided by (1.0 when
+    cropped and masked, then normalized and thresholded as params say
+    (finish_plane), and divisor is the peak it was divided by (1.0 when
     it was not normalized). No plane is kept once it has been handed
-    out. The padding rule, and why one padded spectrum is held at a
-    time, are in the module docstring.
+    out. The padding rule, the split of each plane across the CPUs, and
+    why one padded spectrum is held at a time, are in the module
+    docstring. Worker threads start at the first stage that splits and
+    end with the last plane; close() ends a sweep early.
     """
 
     def __init__(self, phase, params: CwtParams):
@@ -268,15 +292,26 @@ class CwtSweep:
         self._params = params
         self._max_margin = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
         self._valid = f.valid()
-        self._shape = self._spectrum = None
+        self._shape = self._spectrum = self._pool = None
+        self._workers = _usable_cpus()
         self.scales = params.scales
-        self._planes = map(self._plane, params.scales)
+        self._made = 0
 
     def __iter__(self) -> "CwtSweep":
         return self
 
     def __next__(self) -> tuple[float, ScalarField, float]:
-        return next(self._planes)
+        if self._made == len(self.scales):
+            raise StopIteration
+        try:
+            plane = self._plane(self.scales[self._made])
+        except BaseException:
+            self.close()
+            raise
+        self._made += 1
+        if self._made == len(self.scales):
+            self.close()
+        return plane
 
     def __len__(self) -> int:
         return len(self.scales)
@@ -285,6 +320,31 @@ class CwtSweep:
     def planes(self) -> "CwtSweep":
         """The sweep itself; perfbench/spans.py counts len(sweep.planes)."""
         return self
+
+    def close(self) -> None:
+        """End the sweep: no further plane is made, and the worker threads
+        and the padded spectrum are released. The last plane, and a plane
+        that raises, close the sweep."""
+        self._made = len(self.scales)
+        if self._pool is not None:
+            self._pool.shutdown()
+        self._shape = self._spectrum = self._pool = None
+
+    def _split(self, n: int, length: int, work) -> list:
+        """work(s) for contiguous slices s of range(n), n lines of length
+        elements each: one slice per worker but none under SPLIT_MIN
+        elements, the last on the calling thread. Returns their results
+        in order. Each worker runs in a copy of the caller's context, so
+        under its np.errstate."""
+        k = max(1, min(self._workers, n, n * length // SPLIT_MIN))
+        if k > 1 and self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self._workers - 1)
+        cuts = [n * i // k for i in range(k + 1)]
+        parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        futures = [self._pool.submit(contextvars.copy_context().run, work, s)
+                   for s in parts[:-1]]
+        last = work(parts[-1])
+        return [future.result() for future in futures] + [last]
 
     def _grid(self, alpha: float) -> tuple[tuple[int, int], tuple[int, int]]:
         """The padded shape for alpha and the pad before each axis.
@@ -299,24 +359,74 @@ class CwtSweep:
         shape = tuple(next_fast_len(n + 2 * margin) if margin else n for n in (h, w))
         return shape, ((shape[0] - h) // 2, (shape[1] - w) // 2)
 
-    @np.errstate(over="ignore", invalid="ignore")  # finish_plane refuses the result
+    def _forward(self, shape: tuple[int, int], top: int, left: int) -> np.ndarray:
+        """np.fft.rfft2 of the input edge-padded to shape, bit for bit: an
+        rfft along row slices, then an fft in place down column slices."""
+        (h, w), (ly, lx) = self._field.grid.shape, shape
+        padded = np.pad(self._field.values, ((top, ly - h - top), (left, lx - w - left)),
+                        mode="edge")
+        spectrum = np.empty((ly, lx // 2 + 1), dtype=complex)
+        self._split(ly, lx, lambda r: np.fft.rfft(padded[r], axis=1, out=spectrum[r]))
+        self._split(lx // 2 + 1, ly,
+                    lambda c: np.fft.fft(spectrum[:, c], axis=0, out=spectrum[:, c]))
+        return spectrum
+
+    def _columns(self, alpha: float) -> np.ndarray:
+        """The kept box of the spectrum times the multiplier, transformed
+        down its columns, in an (Ly, kx) array that is 0 outside the box:
+        by column slices."""
+        (ly, lx), spectrum = self._shape, self._spectrum
+        ky, kx = _band(ly, alpha), _band(lx, alpha)
+        gy, hy = _axis_dfts(ly, alpha, half=False)
+        gx, hx = (v[:kx] for v in _axis_dfts(lx, alpha, half=True))
+        ax = 2.0 * gx - hx
+        product = np.zeros((ly, kx), dtype=complex)
+
+        def work(c):
+            for part in (slice(0, ky), slice(ly - ky + 1, ly)):
+                # (gy ax - hy gx) / alpha, built in the box's real and
+                # imaginary parts, then the spectrum times it
+                box = product[part, c]
+                np.multiply(gy[part, None], ax[None, c], out=box.real)
+                np.multiply(hy[part, None], gx[None, c], out=box.imag)
+                np.subtract(box.real, box.imag, out=box.real)
+                np.divide(box.real, alpha, out=box.real)
+                box.imag = 0.0
+                np.multiply(spectrum[part, c], box, out=box)
+            np.fft.ifft(product[:, c], axis=0, out=product[:, c])
+        self._split(kx, ly, work)
+        return product
+
+    def _rows(self, product: np.ndarray, top: int, left: int) -> tuple[np.ndarray, float]:
+        """The plane from the column-transformed box, the irfft with n = Lx
+        along the kept rows, cropped and masked, and its peak magnitude:
+        by row slices."""
+        (h, w), lx = self._field.grid.shape, self._shape[1]
+        full, plane = np.empty((h, lx)), np.zeros((h, w))
+
+        def work(r):
+            np.fft.irfft(product[top + r.start:top + r.stop], n=lx, axis=1, out=full[r])
+            np.copyto(plane[r], full[r, left:left + w], where=self._valid[r])
+            # max |v| is max(max v, -min v) exactly, NaN included
+            return plane[r].max(), -plane[r].min()
+        return plane, float(np.max(self._split(h, lx, work)))
+
+    @np.errstate(over="ignore", invalid="ignore")  # _plane_scale refuses the result
     def _plane(self, alpha: float) -> tuple[float, ScalarField, float]:
         f, params = self._field, self._params
         (h, w), (shape, (top, left)) = f.grid.shape, self._grid(alpha)
         if shape != self._shape:
             self._spectrum = None  # drop the old one before making the next
-            self._spectrum = np.fft.rfft(np.pad(
-                f.values, ((top, shape[0] - h - top), (left, shape[1] - w - left)),
-                mode="edge"), axis=1)
-            np.fft.fft(self._spectrum, axis=0, out=self._spectrum)
-            self._shape = shape
-        # np.where makes a fresh C-contiguous plane, 0 at masked pixels, and
-        # finish_plane refuses any that is not finite, so the field adopts it
-        out = np.where(self._valid, _plane_values(
-            self._spectrum, shape, alpha, slice(top, top + h),
-            slice(left, left + w)), 0.0)
-        divisor = finish_plane(out, params.normalize, params.threshold_fraction)
-        return alpha, ScalarField._adopt(f.grid, out, f.mask), divisor
+            self._spectrum, self._shape = self._forward(shape, top, left), shape
+        plane, peak = self._rows(self._columns(alpha), top, left)
+        divisor, cut = _plane_scale(peak, params.normalize, params.threshold_fraction)
+        if divisor != 1.0 or cut > 0.0:
+            below, above = np.empty((h, w), dtype=bool), np.empty((h, w), dtype=bool)
+            self._split(h, w, lambda r: _finish_rows(plane[r], below[r], above[r],
+                                                  divisor, cut))
+        # plane is C-contiguous, 0 at masked pixels and finite (the peak
+        # is), so the field adopts it
+        return alpha, ScalarField._adopt(f.grid, plane, f.mask), divisor
 
 
 def cwt_sweep(phase, params: CwtParams, /) -> CwtSweep:

@@ -95,13 +95,13 @@ masked hole), every spanning tree gives the same result.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, PhaseMap, ScalarField, TWO_PI, next_fast_len, wrap_phase
+from .core import (GridSpec, PhaseMap, ScalarField, TWO_PI, _usable_cpus, next_fast_len,
+                   wrap_phase)
 from .errors import (BadFrequencyError, BadSpecError, EmptyBandError,
                      GridMismatchError, NoValidSeedError, NumericError)
 
@@ -324,14 +324,6 @@ class _ChunkScan:
 def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """The leading elements of the flat buffer buf as a C-contiguous shape."""
     return buf[:shape[0] * shape[1]].reshape(shape)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:

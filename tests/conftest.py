@@ -28,3 +28,19 @@ def scan_workers(monkeypatch):
 
     force(max(2, wft._usable_cpus()))
     return force
+
+
+@pytest.fixture
+def split_workers(monkeypatch):
+    """Make the wavelet sweep split every stage of a plane, however small,
+    across at least two workers, even on a one-CPU host; call the
+    fixture's value with n to make it see n CPUs instead."""
+    from fringescale import cwt
+    from fringescale.core import _usable_cpus
+
+    def force(n):
+        monkeypatch.setattr(cwt, "_usable_cpus", lambda: n)
+
+    monkeypatch.setattr(cwt, "SPLIT_MIN", 1)
+    force(max(2, _usable_cpus()))
+    return force

@@ -406,7 +406,11 @@ class TestCliDemodCwt:
         assert err.count("\n") == 1 and "numeric error" in err
         assert not out.exists()
 
-    def test_phase_overflowing_the_planes_exits_4(self, tmp_path, capsys, rng):
+    # numpy's errstate does not reach threads by itself; a warning from
+    # the sweep's workers would print beside the one-line error
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phase_overflowing_the_planes_exits_4(self, tmp_path, capsys, rng,
+                                                  split_workers):
         p = tmp_path / "huge.fgrid"
         write_field(p, field_from_array(1e306 * (1.0 + rng.random((32, 32)))))
         out = tmp_path / "o"
@@ -417,8 +421,9 @@ class TestCliDemodCwt:
         assert not (out / "manifest.txt").exists()
         assert not list(out.glob("plane_*"))
 
-    def test_phase_overflowing_the_first_plane_leaves_no_directory(self, tmp_path,
-                                                                   rng):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phase_overflowing_the_first_plane_leaves_no_directory(self, tmp_path, rng,
+                                                                   split_workers):
         p = tmp_path / "huge.fgrid"
         write_field(p, field_from_array(1e306 * (1.0 + rng.random((32, 32)))))
         out = tmp_path / "o"

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -10,6 +14,7 @@ from fringescale import (
     AllMaskedError,
     BadScaleError,
     CwtParams,
+    NumericError,
     cwt_plane,
     cwt_sweep,
     default_scale_grid,
@@ -17,7 +22,7 @@ from fringescale import (
     mexican_hat,
     mexican_hat_spectrum,
 )
-from fringescale.core import next_fast_len
+from fringescale.core import _usable_cpus, next_fast_len
 from fringescale.cwt import HAT_BAND, HAT_REACH, _axis_dfts, finish_plane
 from oracles import (brute_cwt_plane, edge_band_errors, full_spectrum_sweep,
                      uniform_pad_sweep, wide_pad_plane)
@@ -580,14 +585,17 @@ class TestPaddedGrid:
         assert {w.category for w in caught} == ({AliasingWarning} if n == 70 else set())
         assert {unpadded._grid(a) for a in scales} == {((n, n), (0, 0))}
 
-    def test_one_forward_transform_per_padded_shape(self, rng, monkeypatch):
-        # the padded spectrum starts with an rfft along the rows of the
-        # padded input; _axis_dfts' 1-D rffts are not counted
+    def test_one_forward_transform_per_padded_shape(self, rng, monkeypatch,
+                                                    split_workers):
+        # the padded spectrum starts with an rfft along row slices of the
+        # padded input, so the rows transformed at each padded width add
+        # up to the padded height once; _axis_dfts' 1-D rffts are not
+        # counted
         shapes = []
 
         def counting(x, *args, _rfft=np.fft.rfft, **kwargs):
             if np.ndim(x) == 2:
-                shapes.append(np.shape(x))
+                shapes.append(np.shape(x))  # list.append is atomic across threads
             return _rfft(x, *args, **kwargs)
         monkeypatch.setattr(np.fft, "rfft", counting)
         scales = default_scale_grid()
@@ -595,9 +603,13 @@ class TestPaddedGrid:
                           CwtParams(scales=scales))
         distinct = {sweep._grid(a)[0] for a in scales}
         assert len(list(sweep)) == 32
+        rows = {}
+        for n, width in shapes:
+            rows[width] = rows.get(width, 0) + n
         # the plane at 19.5 shares the 600 x 600 grid of the 11 that wrap
-        assert len(shapes) == len(distinct) == 16
-        assert set(shapes) == distinct
+        assert len(distinct) == 16
+        assert rows == {width: height for height, width in distinct}
+        assert len(shapes) > len(distinct)  # the rows were split
 
     def test_shared_spectra_match_the_oracle(self, rng):
         # at 64x64 the default scales put planes of reach 10 and 12, 14
@@ -628,6 +640,86 @@ def _thresholded(vals, fraction):
     out = np.array(vals, dtype=np.float64)
     finish_plane(out, False, fraction)
     return out
+
+
+class TestSplitSweep:
+    # the split stages make every plane from slices of independent 1-D
+    # transforms and elementwise passes, which give the same bits on any
+    # slice; SPLIT_MIN is 1 here (split_workers), so every stage splits
+    @staticmethod
+    def _bits(f, params):
+        return [(plane.values.view(np.int64).copy(), np.float64(divisor).view(np.int64))
+                for _, plane, divisor in cwt_sweep(f, params)]
+
+    @pytest.mark.parametrize("kw", [{}, dict(normalize=False, threshold_fraction=0.0)],
+                             ids=["pipeline", "plane"])
+    def test_planes_identical_at_every_cpu_count(self, rng, split_workers, kw):
+        # odd, masked and not square, so the slices are uneven
+        f = _masked_ramp(193, 150, rng)
+        params = CwtParams(scales=default_scale_grid(), **kw)
+        split_workers(1)
+        want = self._bits(f, params)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+        try:
+            for n in sorted({_usable_cpus(), 2, 3}):
+                split_workers(n)
+                got = self._bits(f, params)
+                assert len(got) == len(want) == 32
+                for alpha, (g, gd), (w, wd) in zip(params.scales, got, want):
+                    assert np.array_equal(g, w) and gd == wd, (n, alpha)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_end_with_the_sweep(self, rng, split_workers):
+        f = _masked_ramp(64, 48, rng)
+        before = threading.active_count()
+        sweep = cwt_sweep(f, CwtParams(scales=(2.0, 4.0, 8.0)))
+        assert threading.active_count() == before
+        next(sweep)
+        assert threading.active_count() > before  # the first plane split
+        assert len(list(sweep)) == 2
+        assert threading.active_count() == before
+        cwt_plane(f, 3.0, pad=True)
+        assert threading.active_count() == before
+
+    def test_close_ends_the_threads(self, rng, split_workers):
+        before = threading.active_count()
+        sweep = cwt_sweep(_masked_ramp(64, 48, rng), CwtParams(scales=(2.0, 4.0)))
+        next(sweep)
+        sweep.close()
+        assert threading.active_count() == before
+        with pytest.raises(StopIteration):
+            next(sweep)
+
+    def test_dropped_sweep_ends_its_threads_without_the_cycle_collector(
+            self, rng, split_workers):
+        before = threading.active_count()
+        sweep = cwt_sweep(_masked_ramp(64, 48, rng), CwtParams(scales=(2.0, 4.0)))
+        next(sweep)
+        assert threading.active_count() > before
+        gc.disable()
+        try:
+            del sweep  # the executor goes with it, and its idle workers exit
+            deadline = time.monotonic() + 10.0
+            while threading.active_count() > before and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            gc.enable()
+        assert threading.active_count() == before
+
+    def test_overflowing_plane_warns_nothing_and_ends_the_threads(self, rng,
+                                                                 split_workers):
+        # the workers overflow to inf and NaN under the sweep's own
+        # np.errstate; the calling thread refuses the plane
+        f = field_from_array(1e306 * (1.0 + rng.random((64, 48))))
+        before = threading.active_count()
+        sweep = cwt_sweep(f, CwtParams(scales=(2.0, 4.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                next(sweep)
+        assert threading.active_count() == before
 
 
 class TestNormalize:
