@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextvars
 import os
 from dataclasses import dataclass
 
@@ -192,6 +193,16 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+def _share(pool, work, parts) -> list:
+    """work(p) for each p in parts, the last on the calling thread and the
+    others on the workers of the executor pool; returns their results in
+    order once all are done. Each worker runs in a copy of the caller's
+    context, so under its np.errstate."""
+    futures = [pool.submit(contextvars.copy_context().run, work, p) for p in parts[:-1]]
+    last = work(parts[-1])
+    return [future.result() for future in futures] + [last]
 
 
 def masked_extrema(f: ScalarField) -> tuple[float, float]:

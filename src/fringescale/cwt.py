@@ -96,14 +96,13 @@ is over 4 alpha long, which keeps its lowest alpha |w| below pi/2.
 
 from __future__ import annotations
 
-import contextvars
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMap, ScalarField, _usable_cpus, next_fast_len
+from .core import PhaseMap, ScalarField, _share, _usable_cpus, next_fast_len
 from .errors import AliasingWarning, AllMaskedError, BadScaleError, NumericError
 
 DISPLAY_SCALES = (3.0, 10.0, 50.0, 100.0)
@@ -191,18 +190,23 @@ def _as_field(phase) -> ScalarField:
     return phase.field if isinstance(phase, PhaseMap) else phase
 
 
-def _axis_dfts(n: int, alpha: float, half: bool) -> tuple[np.ndarray, np.ndarray]:
-    """DFTs (G, H) of the periodized samples of g(d/alpha) and
-    (d/alpha)^2 g(d/alpha) on an axis of n pixels; half=True keeps only
-    the non-negative frequencies, as rfft does."""
+def _axis_samples(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The periodized samples (g, h) of g(d/alpha) and (d/alpha)^2
+    g(d/alpha) on an axis of n pixels."""
     copies = int(np.ceil(HAT_REACH * alpha / n))
     d = np.arange(n, dtype=np.float64)
     d = np.where(d > n / 2, d - n, d)
     t = (d[None, :] + n * np.arange(-copies, copies + 1)[:, None]) / alpha
     g = np.exp(-0.5 * t * t)
-    g, h = g.sum(axis=0), (t * t * g).sum(axis=0)
+    return g.sum(axis=0), (t * t * g).sum(axis=0)
+
+
+def _axis_dfts(samples: tuple[np.ndarray, np.ndarray],
+               half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """DFTs (G, H) of the samples (g, h) of _axis_samples; half=True keeps
+    only the non-negative frequencies, as rfft does."""
     fft = np.fft.rfft if half else np.fft.fft
-    return fft(g).real, fft(h).real
+    return fft(samples[0]).real, fft(samples[1]).real
 
 
 def _band(n: int, alpha: float) -> int:
@@ -332,19 +336,14 @@ class CwtSweep:
 
     def _split(self, n: int, length: int, work) -> list:
         """work(s) for contiguous slices s of range(n), n lines of length
-        elements each: one slice per worker but none under SPLIT_MIN
-        elements, the last on the calling thread. Returns their results
-        in order. Each worker runs in a copy of the caller's context, so
-        under its np.errstate."""
+        elements each: one slice per CPU but none under SPLIT_MIN
+        elements, handed out by core._share, the last to the calling
+        thread. Returns their results in order."""
         k = max(1, min(self._workers, n, n * length // SPLIT_MIN))
         if k > 1 and self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self._workers - 1)
         cuts = [n * i // k for i in range(k + 1)]
-        parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-        futures = [self._pool.submit(contextvars.copy_context().run, work, s)
-                   for s in parts[:-1]]
-        last = work(parts[-1])
-        return [future.result() for future in futures] + [last]
+        return _share(self._pool, work, [slice(a, b) for a, b in zip(cuts, cuts[1:])])
 
     def _grid(self, alpha: float) -> tuple[tuple[int, int], tuple[int, int]]:
         """The padded shape for alpha and the pad before each axis.
@@ -377,8 +376,11 @@ class CwtSweep:
         by column slices."""
         (ly, lx), spectrum = self._shape, self._spectrum
         ky, kx = _band(ly, alpha), _band(lx, alpha)
-        gy, hy = _axis_dfts(ly, alpha, half=False)
-        gx, hx = (v[:kx] for v in _axis_dfts(lx, alpha, half=True))
+        samples = _axis_samples(ly, alpha)
+        gy, hy = _axis_dfts(samples, half=False)
+        if lx != ly:  # a square grid's axes share their samples
+            samples = _axis_samples(lx, alpha)
+        gx, hx = (v[:kx] for v in _axis_dfts(samples, half=True))
         ax = 2.0 * gx - hx
         product = np.zeros((ly, kx), dtype=complex)
 

@@ -58,24 +58,32 @@ delta = 2^-16 covers the relative rounding of |c_u|, of mag2 and of the
 test itself.
 
 The u grid is sorted by distance from the band centre (the smaller u
-first on ties) and dealt round-robin to k = min(len(us), usable CPUs)
-threads, thread t taking order[t::k], so every thread starts near the
-ridge; numpy's ufuncs and numpy.fft release the interpreter lock, so the
-threads run in parallel (two threads scan 512^2 about 1.5x faster than
-one). A thread's first u passes the bound at every column, as its best
-mag2 starts at -1 and the bound is never negative. No thread scans in
+first on ties) and split across k = min(len(us), usable CPUs) chunks, one
+per thread: k - 1 worker threads and the calling thread, which takes the
+last share (core._share, as the wavelet sweep hands out its slices);
+numpy's ufuncs and numpy.fft release the interpreter lock, so the
+threads run in parallel. The first u, the centre one, is the seed pass:
+the calling thread runs its row stage and its bound once, which every
+column passes, as the fresh best mag2 is -1 and the bound is never
+negative; the threads then run its column FFT and v loop on contiguous
+slices of those columns, each into its own columns of one best, which
+is copied into every chunk. The other u's are dealt round-robin, chunk
+t taking order[1 + t::k], and each chunk prunes against its own best,
+so no thread passes every column for a u of its own. No thread scans in
 ascending order, so a candidate is taken when mag2 > best, or when
-mag2 == best and its flat grid index is smaller, both within a thread
-and in the merge of the threads' bests. The winner is then the maximum
-of a total order, whatever the order of the scan, and equals the
-one-thread ascending scan's bit for bit. Each u gathers its surviving
-columns of the best arrays into contiguous buffers once, runs its v loop
-on them in place and scatters them back. Every array a thread
-writes is made by the calling thread, sized for all columns, and the
-thread writes into contiguous views of it through out= and in-place
-transforms: when the threads made their own temporaries, glibc kept
-about 27 MB of them resident in its per-thread arenas after a 512^2
-scan, which raised the peak RSS of the later unwrap step by as much.
+mag2 == best and its flat grid index is smaller, both within a chunk
+and in the merge of the chunks' bests. The winner is then the maximum
+of a total order, and a column's transforms give the same bits in any
+batch, so it equals the one-thread ascending scan's bit for bit,
+whatever the order of the scan and the column split. Each u gathers
+its surviving columns of the best arrays into contiguous buffers once,
+runs its v loop on them in place and scatters them back. Every array a
+thread writes is made by the calling thread, sized for all columns,
+and the thread writes into contiguous views of it through out= and
+in-place transforms: when the threads made their own temporaries,
+glibc kept about 27 MB of them resident in its per-thread arenas after
+a 512^2 scan, which raised the peak RSS of the later unwrap step by as
+much.
 
 unwrap integrates the wrapped phase along a maximum-reliability spanning
 forest (Herraez et al., Appl. Opt. 41, 7437, 2002): the 4-neighbor edges
@@ -100,8 +108,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridSpec, PhaseMap, ScalarField, TWO_PI, _usable_cpus, next_fast_len,
-                   wrap_phase)
+from .core import (GridSpec, PhaseMap, ScalarField, TWO_PI, _share, _usable_cpus,
+                   next_fast_len, wrap_phase)
 from .errors import (BadFrequencyError, BadSpecError, EmptyBandError,
                      GridMismatchError, NoValidSeedError, NumericError)
 
@@ -205,12 +213,12 @@ def _kernel_ffts(t: np.ndarray, w: np.ndarray, freqs: np.ndarray,
 
 
 class _ChunkScan:
-    """One thread's share of the scan: the u grid indices dealt to it.
+    """One thread's share of the scan: its buffers and its best arrays.
 
-    Every array scan writes is made here, in the calling thread, sized for
-    all w columns; the thread that runs scan only writes into contiguous
-    views of them, products and transforms through out=. scanned counts
-    the (u, column) pairs the v loop ran on.
+    Every array a thread writes is made here, in the calling thread,
+    sized for all w columns; the thread only writes into contiguous views
+    of them, products and transforms through out=. scanned counts the
+    (u, column) pairs the chunk ran the v loop on.
     """
 
     def __init__(self, shape: tuple[int, int], row_fft: np.ndarray,
@@ -239,38 +247,53 @@ class _ChunkScan:
         self.eps = np.empty(w + w % 2, dtype=np.float32)  # eps_x, per column
         self.reach = np.empty(w, dtype=bool)
 
+    @property
+    def best(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.best_mag2, self.best_resp, self.best_idx
+
+    def row_stage(self, i: int) -> np.ndarray:
+        """c_u for the u grid index i, the image convolved along its rows,
+        in self.rows."""
+        rows = np.multiply(self.row_fft, self.row_kernels[i], out=self.rows)
+        return np.fft.ifft(rows, axis=1, out=rows)
+
     def scan(self, u_index: np.ndarray) -> None:
         """Scan the u grid indices u_index, in that order, against every v,
-        each on the columns _reachable leaves."""
-        h = self.best_mag2.shape[0]
-        ny = self.col_kernels.shape[1]
-        best = (self.best_mag2, self.best_resp, self.best_idx)
+        each on the columns _reachable leaves, into this chunk's best."""
         for i in u_index:
-            rows = np.multiply(self.row_fft, self.row_kernels[i], out=self.rows)
-            rows = np.fft.ifft(rows, axis=1, out=rows)
-            x = self._reachable(rows)
-            m = len(x)
-            if not m:
-                continue
-            self.scanned += m
-            cols = _view(self.cols, (ny, m))
-            # mode="clip" writes straight into out; "raise" buffers a copy
-            np.take(rows, x, axis=1, out=cols[:h], mode="clip")
-            cols[h:] = 0.0
-            col_fft = np.fft.fft(cols, axis=0, norm="forward", out=cols)
-            part = [np.take(b, x, axis=1, out=_view(p, (h, m)), mode="clip")
-                    for b, p in zip(best, self.part)]
-            product = _view(self.product, (ny, m))
-            mag2, square = _view(self.mag2, (h, m)), _view(self.square, (h, m))
-            for j, gy in enumerate(self.col_kernels):
-                resp = np.fft.ifft(np.multiply(col_fft, gy, out=product),
-                                   axis=0, out=product)[:h]
-                # rounds as np.square(re) + np.square(im) does
-                np.square(resp.real, out=mag2)
-                mag2 += np.square(resp.imag, out=square)
-                self.keep(part, mag2, resp, i * len(self.col_kernels) + j)
-            for b, p in zip(best, part):
-                b[:, x] = p
+            rows = self.row_stage(i)
+            self.columns(i, rows, self._reachable(rows), self.best)
+
+    def columns(self, i: int, rows: np.ndarray, x: np.ndarray,
+                best: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        """Run u grid index i against every v on the columns x of rows = c_u,
+        taking the winners into best = (mag2, resp, idx) at those columns
+        alone: they are gathered into contiguous buffers once, the v loop
+        runs on them in place, and they are scattered back."""
+        h = rows.shape[0]
+        ny = self.col_kernels.shape[1]
+        m = len(x)
+        if not m:
+            return
+        self.scanned += m
+        cols = _view(self.cols, (ny, m))
+        # mode="clip" writes straight into out; "raise" buffers a copy
+        np.take(rows, x, axis=1, out=cols[:h], mode="clip")
+        cols[h:] = 0.0
+        col_fft = np.fft.fft(cols, axis=0, norm="forward", out=cols)
+        part = [np.take(b, x, axis=1, out=_view(p, (h, m)), mode="clip")
+                for b, p in zip(best, self.part)]
+        product = _view(self.product, (ny, m))
+        mag2, square = _view(self.mag2, (h, m)), _view(self.square, (h, m))
+        for j, gy in enumerate(self.col_kernels):
+            resp = np.fft.ifft(np.multiply(col_fft, gy, out=product),
+                               axis=0, out=product)[:h]
+            # rounds as np.square(re) + np.square(im) does
+            np.square(resp.real, out=mag2)
+            mag2 += np.square(resp.imag, out=square)
+            self.keep(part, mag2, resp, i * len(self.col_kernels) + j)
+        for b, p in zip(best, part):
+            b[:, x] = p
 
     def _reachable(self, rows: np.ndarray) -> np.ndarray:
         """Columns holding a pixel where (B + eps_x)^2 (1 + delta) reaches
@@ -326,6 +349,23 @@ def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return buf[:shape[0] * shape[1]].reshape(shape)
 
 
+def _scan(chunks: list[_ChunkScan], order: np.ndarray, pool: ThreadPoolExecutor) -> None:
+    """Scan the u grid indices order into the chunks' bests, one chunk per
+    thread, the last on the calling thread: the seed pass of order[0],
+    then the rest dealt round-robin (module docstring)."""
+    k, seed = len(chunks), chunks[-1]
+    i = order[0]
+    rows = seed.row_stage(i)
+    x = seed._reachable(rows)
+    cuts = [len(x) * c // k for c in range(k + 1)]
+    _share(pool, lambda c: chunks[c].columns(i, rows, x[cuts[c]:cuts[c + 1]], seed.best),
+           range(k))
+    for chunk in chunks[:-1]:
+        for b, s in zip(chunk.best, seed.best):
+            np.copyto(b, s)
+    _share(pool, lambda c: chunks[c].scan(order[1 + c::k]), range(k))
+
+
 def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
     """Ridge scan over the frequency grid, with the winners of an
     exhaustive scan, as a RidgeResult.
@@ -362,14 +402,12 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
     order = np.argsort(np.abs(np.arange(len(us)) - (len(us) - 1) / 2), kind="stable")
     chunks = [_ChunkScan(shape, row_fft, row_kernels, col_kernels, window_fft,
                          eps_per_norm) for _ in range(k)]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        futures = [pool.submit(chunk.scan, order[c::k]) for c, chunk in enumerate(chunks)]
-        for future in futures:
-            future.result()
+    # threads start on submit: one CPU starts none
+    with ThreadPoolExecutor(max_workers=max(1, k - 1)) as pool:
+        _scan(chunks, order, pool)
     best = chunks[0]
     for chunk in chunks[1:]:
-        best.keep((best.best_mag2, best.best_resp, best.best_idx),
-                  chunk.best_mag2, chunk.best_resp, chunk.best_idx)
+        best.keep(best.best, *chunk.best)
     best_u, best_v = np.divmod(best.best_idx, len(vs))
     valid = img.valid()
     phase_vals = np.where(

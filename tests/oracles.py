@@ -33,7 +33,7 @@ import numpy as np
 from fringescale import (AllMaskedError, PhaseMap, RidgeResult, ScalarField,
                          masked_extrema, mexican_hat, wrap_phase)
 from fringescale.contours import contour_levels, marching_squares
-from fringescale.cwt import HAT_REACH, CwtSweep, _axis_dfts, finish_plane
+from fringescale.cwt import HAT_REACH, CwtSweep, _axis_dfts, _axis_samples, finish_plane
 from fringescale.core import TWO_PI, next_fast_len
 from fringescale.wft import WINDOW_TRUNCATION_SIGMAS, frequency_grid
 
@@ -567,8 +567,8 @@ def full_spectrum_plane(spectrum, shape, alpha, rows, cols):
     cropped to rows and cols: the whole half spectrum times the whole
     multiplier, a complex ifft down every column and a real irfft along
     the rows kept, which equals irfft2 then crop bit for bit."""
-    gy, hy = _axis_dfts(shape[0], alpha, half=False)
-    gx, hx = _axis_dfts(shape[1], alpha, half=True)
+    gy, hy = _axis_dfts(_axis_samples(shape[0], alpha), half=False)
+    gx, hx = _axis_dfts(_axis_samples(shape[1], alpha), half=True)
     product = spectrum * ((gy[:, None] * (2.0 * gx - hx)[None, :]
                            - hy[:, None] * gx[None, :]) / alpha)
     product = np.fft.ifft(product, axis=0, out=product)[rows]

@@ -23,7 +23,7 @@ from fringescale import (
     mexican_hat_spectrum,
 )
 from fringescale.core import _usable_cpus, next_fast_len
-from fringescale.cwt import HAT_BAND, HAT_REACH, _axis_dfts, finish_plane
+from fringescale.cwt import HAT_BAND, HAT_REACH, _axis_dfts, _axis_samples, finish_plane
 from oracles import (brute_cwt_plane, edge_band_errors, full_spectrum_sweep,
                      uniform_pad_sweep, wide_pad_plane)
 
@@ -519,8 +519,8 @@ class TestBandLimit:
             outside = ~(keep[:, None] & keep[None, :])
             exact = _multiplier(*_exact_axis_dfts(n, alpha), *_exact_axis_dfts(n, alpha),
                                 alpha)
-            got = _multiplier(*_axis_dfts(n, alpha, half=False),
-                              *_axis_dfts(n, alpha, half=False), alpha)
+            dfts = _axis_dfts(_axis_samples(n, alpha), half=False)
+            got = _multiplier(*dfts, *dfts, alpha)
             # the multiplier is alpha psi_hat(alpha w) up to aliasing, whose
             # peak is 4 pi alpha / e; the FFTs reach the exact multiplier to
             # their rounding (2.2e-15 of the peak at most, measured), and

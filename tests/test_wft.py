@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -318,6 +319,16 @@ def record_scans(monkeypatch):
     return scans
 
 
+def scanned_share(monkeypatch, img, params):
+    """The share of (u, column) pairs the v loop ran on, seed pass
+    included, out of len(us) * width, in one demodulate call."""
+    with monkeypatch.context() as m:
+        scans = record_scans(m)
+        demodulate(img, params)
+    n_u = len(frequency_grid(params.band_x, params.step))
+    return sum(chunk.scanned for chunk, _ in scans) / (n_u * img.grid.width)
+
+
 class TestThreadedScanMatchesSequential:
     """The pruned scan split across threads against the full scan in one
     loop (tests/oracles.py), bit for bit on all four arrays, at forced
@@ -374,44 +385,79 @@ class TestThreadedScanMatchesSequential:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, None])
     def test_chunks_partition_the_u_grid(self, scan_workers, monkeypatch, workers):
-        # a u scanned by two chunks leaves every winner as it is, only
-        # slower, so the identity tests cannot see it
+        # a u scanned twice leaves every winner as it is, only slower, so
+        # the identity tests cannot see it
         n_u = len(frequency_grid(SMALL_PARAMS.band_x, SMALL_PARAMS.step))
         scan_workers(n_u + 1 if workers is None else workers)
         scans = record_scans(monkeypatch)
+        stages, row_stage = [], wft._ChunkScan.row_stage
+
+        def record(chunk, i):
+            stages.append(i)
+            return row_stage(chunk, i)
+
+        monkeypatch.setattr(wft._ChunkScan, "row_stage", record)
         demodulate(field_from_array(np.zeros((16, 16))), SMALL_PARAMS)
         assert len(scans) == min(n_u, workers or n_u)
-        assert sorted(u for _, u_index in scans for u in u_index) == list(range(n_u))
+        # the calling thread runs the seed's row stage first: the centre u
+        seed = stages[0]
+        assert seed == (n_u - 1) // 2
+        dealt = [u for _, u_index in scans for u in u_index]
+        assert sorted([seed] + dealt) == list(range(n_u))
+        assert sorted(stages) == list(range(n_u))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pruning_skips_most_columns(self, scan_workers, monkeypatch, workers):
         # the scan would be just as exact without pruning, so only the
         # count of scanned (u, column) pairs shows it happens
         scan_workers(workers)
-        scans = record_scans(monkeypatch)
+        _, pair = rib_step_pair(192, 0.02)
+        share = scanned_share(monkeypatch, pair.deformed, DemodParams.for_carrier(0.125))
+        assert 0 < share < 0.2
+
+    def test_two_threads_scan_about_what_one_does(self, scan_workers, monkeypatch):
+        # a thread that started from a fresh best would run its first u on
+        # every column (1.24x the one-thread share here); the seed pass
+        # hands every thread the centre u's best instead
         _, pair = rib_step_pair(192, 0.02)
         params = DemodParams.for_carrier(0.125)
-        demodulate(pair.deformed, params)
-        n_u = len(frequency_grid(params.band_x, params.step))
-        share = sum(chunk.scanned for chunk, _ in scans) / (n_u * 192)
-        assert 0 < share < 0.2
+        shares = []
+        for workers in (1, 2):
+            scan_workers(workers)
+            shares.append(scanned_share(monkeypatch, pair.deformed, params))
+        assert shares[1] <= 1.05 * shares[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_calling_thread_takes_the_last_share(self, scan_workers, monkeypatch,
+                                                 workers):
+        # k - 1 worker threads at most, so one CPU starts none
+        scan_workers(workers)
+        started, start = [], threading.Thread.start
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        demodulate(rib_step_pair(64, 0.05)[1].deformed, SMALL_PARAMS)
+        assert (0 < len(started) < workers) if workers > 1 else not started
 
     def test_scan_makes_no_temporaries(self, scan_workers, monkeypatch):
         # every product and transform writes through out=: a complex128
         # copy of the 256^2 plume's column block alone would take ny * 256
-        # * 16 bytes, 1.2 MB; measured 74 KB
+        # * 16 bytes, 1.2 MB; measured 74 KB. The seed pass is traced too.
         scan_workers(1)
-        peaks, scan = [], wft._ChunkScan.scan
+        peaks, scan = [], wft._scan
 
-        def traced(chunk, u_index):
+        def traced(chunks, order, pool):
             tracemalloc.start()
             try:
-                scan(chunk, u_index)
+                scan(chunks, order, pool)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
 
-        monkeypatch.setattr(wft._ChunkScan, "scan", traced)
+        monkeypatch.setattr(wft, "_scan", traced)
         demodulate(steep_plume(256), DemodParams.for_carrier(0.125))
         assert len(peaks) == 1 and peaks[0] <= 256 * 1024
 
@@ -446,7 +492,7 @@ class TestThreadedScanMatchesSequential:
         params = DemodParams.for_carrier(0.125)
         demodulate(rib_step_pair(96, 0.1)[1].deformed, params)
         t, taps = wft._window_taps(params.window_sigma)
-        # every u runs the bound, a thread's first included
+        # every u runs the bound, the seed included
         assert len(seen) == len(frequency_grid(params.band_x, params.step))
         for mags, reach, eps in seen:
             h = len(mags)
@@ -457,27 +503,40 @@ class TestThreadedScanMatchesSequential:
             bound = np.sqrt(reach / (1.0 + wft.BOUND_SLACK)) - eps
             assert (np.abs(bound - direct) <= eps).all()
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("image", ["rib_step", "zero"])
     def test_first_u_reaches_every_column(self, scan_workers, monkeypatch,
                                           workers, image):
-        # a fresh chunk's best mag2 is -1 and the bound is never negative,
-        # not even on the zero image, where it is exactly 0
+        # the first u is the seed, the centre u: its best mag2 is -1 and
+        # the bound is never negative, not even on the zero image, where it
+        # is exactly 0; the chunks split its columns into contiguous
+        # slices, one each
         scan_workers(workers)
-        first, reachable = {}, wft._ChunkScan._reachable
+        reached, seeded = [], []
+        reachable, columns = wft._ChunkScan._reachable, wft._ChunkScan.columns
 
-        def record(chunk, rows):
-            columns = reachable(chunk, rows)
-            first.setdefault(id(chunk), columns)
-            return columns
+        def record_reach(chunk, rows):
+            reached.append(reachable(chunk, rows))
+            return reached[-1]
 
-        monkeypatch.setattr(wft._ChunkScan, "_reachable", record)
+        def record_columns(chunk, i, rows, x, best):
+            if i == seed:
+                seeded.append((chunk, x.copy()))
+            columns(chunk, i, rows, x, best)
+
+        monkeypatch.setattr(wft._ChunkScan, "_reachable", record_reach)
+        monkeypatch.setattr(wft._ChunkScan, "columns", record_columns)
+        params = DemodParams.for_carrier(0.125)
+        seed = (len(frequency_grid(params.band_x, params.step)) - 1) // 2
         img = (rib_step_pair(96, 0.1)[1].deformed if image == "rib_step"
                else field_from_array(np.zeros((96, 96))))
-        demodulate(img, DemodParams.for_carrier(0.125))
-        assert len(first) == workers
-        for columns in first.values():
-            assert np.array_equal(columns, np.arange(96))
+        demodulate(img, params)
+        assert np.array_equal(reached[0], np.arange(96))
+        assert len({id(chunk) for chunk, _ in seeded}) == len(seeded) == workers
+        for _, x in seeded:
+            assert (np.diff(x) == 1).all()
+        assert np.array_equal(np.sort(np.concatenate([x for _, x in seeded])),
+                              np.arange(96))
 
 
 class TestRelativePhase:
