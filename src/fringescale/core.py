@@ -14,8 +14,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import contextvars
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,14 +196,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _share(pool, work, parts) -> list:
+def _share(work, parts) -> list:
     """work(p) for each p in parts, the last on the calling thread and the
-    others on the workers of the executor pool; returns their results in
-    order once all are done. Each worker runs in a copy of the caller's
-    context, so under its np.errstate."""
-    futures = [pool.submit(contextvars.copy_context().run, work, p) for p in parts[:-1]]
-    last = work(parts[-1])
-    return [future.result() for future in futures] + [last]
+    others on worker threads that start here and are joined before it
+    returns, so one part starts none; returns their results in order. Each
+    worker runs in a copy of the caller's context, so under its np.errstate."""
+    with ThreadPoolExecutor(max(1, len(parts) - 1)) as pool:
+        futures = [pool.submit(copy_context().run, work, p) for p in parts[:-1]]
+        last = work(parts[-1])
+        return [future.result() for future in futures] + [last]
 
 
 def masked_extrema(f: ScalarField) -> tuple[float, float]:

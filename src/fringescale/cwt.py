@@ -64,8 +64,9 @@ array a worker writes, and the workers write only through out=, copyto
 and in-place ops, for the reason the ridge scan's docstring in wft.py
 gives: glibc keeps what a thread allocates resident in its per-thread
 arena. A stage runs on the calling thread alone unless each slice gets
-SPLIT_MIN elements, and the worker threads start with the first stage
-that splits and end with the sweep.
+SPLIT_MIN elements. A stage that splits starts its worker threads and
+joins them before it returns (core._share), so no thread is alive
+between planes and a sweep holds none.
 
 For production runs on real phase maps the input is edge-padded and
 the plane cropped after the transform to suppress wraparound, while
@@ -97,7 +98,6 @@ is over 4 alpha long, which keeps its lowest alpha |w| below pi/2.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,10 +117,11 @@ HAT_REACH = 10.0
 # |w|^2 exp(-|w|^2 / 2) is 3.1e-18 of its peak 2/e at 9.5, below 1e-17.
 HAT_BAND = 9.5
 
-# Fewest elements a slice of a split stage takes. Handing a slice to a
-# worker thread and waiting for it took 20-140 us on a 2-vCPU x86 VM,
-# about what a slice this size costs, and splitting every stage made a
-# 192^2 sweep slower than one thread.
+# Fewest elements a slice of a split stage takes. A hand-off starts its
+# worker threads and joins them (core._share): on a 2-vCPU x86 VM one
+# took 80-130 us with no work, an rfft stage over a 192^2 grid took
+# 150 us on one thread and 370-480 us split in two, and splitting every
+# stage made a 192^2 sweep 79-88 -> 105-131 ms.
 SPLIT_MIN = 1 << 16
 
 
@@ -270,8 +271,9 @@ class CwtSweep:
     it was not normalized). No plane is kept once it has been handed
     out. The padding rule, the split of each plane across the CPUs, and
     why one padded spectrum is held at a time, are in the module
-    docstring. Worker threads start at the first stage that splits and
-    end with the last plane; close() ends a sweep early.
+    docstring. The padded spectrum goes with the last plane, and no
+    worker thread outlives its stage, so a dropped sweep holds nothing
+    and a plane that raises leaves the sweep at the next scale.
     """
 
     def __init__(self, phase, params: CwtParams):
@@ -296,25 +298,18 @@ class CwtSweep:
         self._params = params
         self._max_margin = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
         self._valid = f.valid()
-        self._shape = self._spectrum = self._pool = None
+        self._shape = self._spectrum = None
         self._workers = _usable_cpus()
         self.scales = params.scales
-        self._made = 0
+        self._alphas = iter(params.scales)
 
     def __iter__(self) -> "CwtSweep":
         return self
 
     def __next__(self) -> tuple[float, ScalarField, float]:
-        if self._made == len(self.scales):
-            raise StopIteration
-        try:
-            plane = self._plane(self.scales[self._made])
-        except BaseException:
-            self.close()
-            raise
-        self._made += 1
-        if self._made == len(self.scales):
-            self.close()
+        plane = self._plane(next(self._alphas))
+        if plane[0] == self.scales[-1]:
+            self._shape = self._spectrum = None  # no later plane reads it
         return plane
 
     def __len__(self) -> int:
@@ -325,25 +320,14 @@ class CwtSweep:
         """The sweep itself; perfbench/spans.py counts len(sweep.planes)."""
         return self
 
-    def close(self) -> None:
-        """End the sweep: no further plane is made, and the worker threads
-        and the padded spectrum are released. The last plane, and a plane
-        that raises, close the sweep."""
-        self._made = len(self.scales)
-        if self._pool is not None:
-            self._pool.shutdown()
-        self._shape = self._spectrum = self._pool = None
-
     def _split(self, n: int, length: int, work) -> list:
         """work(s) for contiguous slices s of range(n), n lines of length
         elements each: one slice per CPU but none under SPLIT_MIN
         elements, handed out by core._share, the last to the calling
         thread. Returns their results in order."""
         k = max(1, min(self._workers, n, n * length // SPLIT_MIN))
-        if k > 1 and self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self._workers - 1)
         cuts = [n * i // k for i in range(k + 1)]
-        return _share(self._pool, work, [slice(a, b) for a, b in zip(cuts, cuts[1:])])
+        return _share(work, [slice(a, b) for a, b in zip(cuts, cuts[1:])])
 
     def _grid(self, alpha: float) -> tuple[tuple[int, int], tuple[int, int]]:
         """The padded shape for alpha and the pad before each axis.

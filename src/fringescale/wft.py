@@ -59,10 +59,12 @@ test itself.
 
 The u grid is sorted by distance from the band centre (the smaller u
 first on ties) and split across k = min(len(us), usable CPUs) chunks, one
-per thread: k - 1 worker threads and the calling thread, which takes the
-last share (core._share, as the wavelet sweep hands out its slices);
-numpy's ufuncs and numpy.fft release the interpreter lock, so the
-threads run in parallel. The first u, the centre one, is the seed pass:
+per thread: the calling thread takes the last share and k - 1 worker
+threads the others. Each hand-off (core._share, as for the wavelet
+sweep's slices) starts its workers and joins them before it returns, so
+no thread outlives demodulate, and one CPU starts none; numpy's ufuncs
+and numpy.fft release the interpreter lock, so the threads run in
+parallel. The first u, the centre one, is the seed pass:
 the calling thread runs its row stage and its bound once, which every
 column passes, as the fresh best mag2 is -1 and the bound is never
 negative; the threads then run its column FFT and v loop on contiguous
@@ -103,7 +105,6 @@ masked hole), every spanning tree gives the same result.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,7 +350,7 @@ def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return buf[:shape[0] * shape[1]].reshape(shape)
 
 
-def _scan(chunks: list[_ChunkScan], order: np.ndarray, pool: ThreadPoolExecutor) -> None:
+def _scan(chunks: list[_ChunkScan], order: np.ndarray) -> None:
     """Scan the u grid indices order into the chunks' bests, one chunk per
     thread, the last on the calling thread: the seed pass of order[0],
     then the rest dealt round-robin (module docstring)."""
@@ -358,12 +359,12 @@ def _scan(chunks: list[_ChunkScan], order: np.ndarray, pool: ThreadPoolExecutor)
     rows = seed.row_stage(i)
     x = seed._reachable(rows)
     cuts = [len(x) * c // k for c in range(k + 1)]
-    _share(pool, lambda c: chunks[c].columns(i, rows, x[cuts[c]:cuts[c + 1]], seed.best),
+    _share(lambda c: chunks[c].columns(i, rows, x[cuts[c]:cuts[c + 1]], seed.best),
            range(k))
     for chunk in chunks[:-1]:
         for b, s in zip(chunk.best, seed.best):
             np.copyto(b, s)
-    _share(pool, lambda c: chunks[c].scan(order[1 + c::k]), range(k))
+    _share(lambda c: chunks[c].scan(order[1 + c::k]), range(k))
 
 
 def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
@@ -402,9 +403,7 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
     order = np.argsort(np.abs(np.arange(len(us)) - (len(us) - 1) / 2), kind="stable")
     chunks = [_ChunkScan(shape, row_fft, row_kernels, col_kernels, window_fft,
                          eps_per_norm) for _ in range(k)]
-    # threads start on submit: one CPU starts none
-    with ThreadPoolExecutor(max_workers=max(1, k - 1)) as pool:
-        _scan(chunks, order, pool)
+    _scan(chunks, order)
     best = chunks[0]
     for chunk in chunks[1:]:
         best.keep(best.best, *chunk.best)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -44,3 +46,16 @@ def split_workers(monkeypatch):
     monkeypatch.setattr(cwt, "SPLIT_MIN", 1)
     force(max(2, _usable_cpus()))
     return force
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The list of threads started from now on, in the order they start."""
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started

@@ -1,10 +1,15 @@
+import ast
 import bisect
 import math
+import pathlib
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fringescale
 from fringescale import (
     AllMaskedError,
     GridMismatchError,
@@ -15,7 +20,7 @@ from fringescale import (
     masked_extrema,
     wrap_phase,
 )
-from fringescale.core import TWO_PI, next_fast_len
+from fringescale.core import TWO_PI, _share, next_fast_len
 
 
 def wrap_oracle(x: float) -> float:
@@ -190,3 +195,62 @@ class TestNextFastLen:
         sfft = pytest.importorskip("scipy.fft")
         for n in range(1, 4097):
             assert next_fast_len(n) == sfft.next_fast_len(n, real=True), n
+
+
+class TestShare:
+    def test_results_in_part_order(self):
+        # the first parts finish last, so completion order is reversed
+        def work(p):
+            time.sleep(0.01 * (4 - p))
+            return p * p
+        assert _share(work, range(5)) == [0, 1, 4, 9, 16]
+        assert _share(lambda s: s.stop, [slice(0, 2), slice(2, 7)]) == [2, 7]
+
+    def test_worker_exception_reaches_the_caller(self, thread_starts):
+        before = threading.active_count()
+
+        def work(p):
+            if p == 0:  # a worker's part; the calling thread takes the last
+                raise ValueError("part 0")
+            return p
+        with pytest.raises(ValueError, match="part 0"):
+            _share(work, range(3))
+        assert thread_starts and threading.active_count() == before
+
+    def test_workers_run_under_the_callers_errstate(self, thread_starts):
+        with np.errstate(all="raise"):
+            want = np.geterr()
+            got = _share(lambda p: np.geterr(), range(3))
+        assert thread_starts
+        assert want != np.geterr() and got == [want] * 3
+
+    @pytest.mark.parametrize("parts", [[0], range(1)])
+    def test_one_part_starts_no_thread(self, thread_starts, parts):
+        assert _share(lambda p: threading.current_thread(), parts) == \
+            [threading.current_thread()]
+        assert not thread_starts
+
+    def test_no_thread_alive_on_return(self, thread_starts):
+        before = threading.active_count()
+        assert _share(lambda p: time.sleep(0.01), range(4)) == [None] * 4
+        assert 1 <= len(thread_starts) <= 3
+        assert not any(t.is_alive() for t in thread_starts)
+        assert threading.active_count() == before
+
+
+def test_only_core_imports_threads():
+    # every worker thread lives for one core._share call; a module that
+    # imported a thread or executor API could hold one past it
+    modules = {}
+    for path in sorted(pathlib.Path(fringescale.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in ("concurrent", "threading"):
+                    modules.setdefault(path.name, set()).add(name)
+    assert modules == {"core.py": {"concurrent.futures"}}

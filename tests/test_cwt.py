@@ -1,8 +1,6 @@
-import gc
 import math
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 
@@ -671,42 +669,27 @@ class TestSplitSweep:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_threads_end_with_the_sweep(self, rng, split_workers):
+    def test_threads_end_with_the_sweep(self, rng, split_workers, thread_starts):
+        # each split stage joins its workers before it returns, so no
+        # thread is alive between planes, after the last or after cwt_plane
         f = _masked_ramp(64, 48, rng)
         before = threading.active_count()
         sweep = cwt_sweep(f, CwtParams(scales=(2.0, 4.0, 8.0)))
-        assert threading.active_count() == before
-        next(sweep)
-        assert threading.active_count() > before  # the first plane split
-        assert len(list(sweep)) == 2
-        assert threading.active_count() == before
+        for _ in range(3):
+            next(sweep)
+            assert threading.active_count() == before
+        assert thread_starts  # the stages split
+        with pytest.raises(StopIteration):
+            next(sweep)
         cwt_plane(f, 3.0, pad=True)
         assert threading.active_count() == before
 
-    def test_close_ends_the_threads(self, rng, split_workers):
-        before = threading.active_count()
-        sweep = cwt_sweep(_masked_ramp(64, 48, rng), CwtParams(scales=(2.0, 4.0)))
-        next(sweep)
-        sweep.close()
-        assert threading.active_count() == before
-        with pytest.raises(StopIteration):
-            next(sweep)
-
-    def test_dropped_sweep_ends_its_threads_without_the_cycle_collector(
-            self, rng, split_workers):
-        before = threading.active_count()
-        sweep = cwt_sweep(_masked_ramp(64, 48, rng), CwtParams(scales=(2.0, 4.0)))
-        next(sweep)
-        assert threading.active_count() > before
-        gc.disable()
-        try:
-            del sweep  # the executor goes with it, and its idle workers exit
-            deadline = time.monotonic() + 10.0
-            while threading.active_count() > before and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            gc.enable()
-        assert threading.active_count() == before
+    def test_one_cpu_starts_no_thread(self, rng, split_workers, thread_starts):
+        split_workers(1)
+        f = _masked_ramp(64, 48, rng)
+        assert len(list(cwt_sweep(f, CwtParams(scales=(2.0, 4.0, 8.0))))) == 3
+        cwt_plane(f, 3.0, pad=True)
+        assert not thread_starts
 
     def test_overflowing_plane_warns_nothing_and_ends_the_threads(self, rng,
                                                                  split_workers):

@@ -429,18 +429,26 @@ class TestThreadedScanMatchesSequential:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_calling_thread_takes_the_last_share(self, scan_workers, monkeypatch,
-                                                 workers):
-        # k - 1 worker threads at most, so one CPU starts none
+                                                 thread_starts, workers):
+        # each hand-off starts len(parts) - 1 worker threads at most and
+        # joins them before it returns, so one CPU starts none and none
+        # outlives demodulate
         scan_workers(workers)
-        started, start = [], threading.Thread.start
+        calls, share = [], wft._share
 
-        def record(thread):
-            started.append(thread)
-            start(thread)
+        def record(work, parts):
+            before = len(thread_starts)
+            out = share(work, parts)
+            calls.append((len(parts), len(thread_starts) - before))
+            return out
 
-        monkeypatch.setattr(threading.Thread, "start", record)
+        monkeypatch.setattr(wft, "_share", record)
+        alive = threading.active_count()
         demodulate(rib_step_pair(64, 0.05)[1].deformed, SMALL_PARAMS)
-        assert (0 < len(started) < workers) if workers > 1 else not started
+        assert threading.active_count() == alive
+        assert [parts for parts, _ in calls] == [workers, workers]
+        assert all(started <= parts - 1 for parts, started in calls)
+        assert bool(thread_starts) == (workers > 1)
 
     def test_scan_makes_no_temporaries(self, scan_workers, monkeypatch):
         # every product and transform writes through out=: a complex128
@@ -449,10 +457,10 @@ class TestThreadedScanMatchesSequential:
         scan_workers(1)
         peaks, scan = [], wft._scan
 
-        def traced(chunks, order, pool):
+        def traced(chunks, order):
             tracemalloc.start()
             try:
-                scan(chunks, order, pool)
+                scan(chunks, order)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
