@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contours import contour_levels, marching_squares
+from .contours import CellRanges, Polylines, contour_levels, marching_squares
 from .core import ScalarField, masked_extrema
 from .errors import AllMaskedError
 from .fieldio import atomic_write_text, write_ppm
@@ -93,9 +93,23 @@ def write_contour_csv(path: str | Path, f: ScalarField,
         lo, hi = masked_extrema(f)
     except AllMaskedError:
         lo = hi = 0.0
-    lines = [(level, line) for level in contour_levels(lo, hi, levels)
-             for line in marching_squares(f, level)]
-    cells = [v for seg, (level, line) in enumerate(lines)
-             for x, y in line for v in (level, seg, x, y)]
-    rows = "%.17g,%d,%.17g,%.17g\n" * (len(cells) // 4) % tuple(cells)
-    atomic_write_text(path, "level,segment,x,y\n" + rows)
+    cells = CellRanges(f)
+    rows, first = ["level,segment,x,y\n"], 0
+    for level in contour_levels(lo, hi, levels):
+        lines = marching_squares(cells, level)
+        rows.append(_csv_rows(level, first, lines))
+        first += len(lines)
+    atomic_write_text(path, "".join(rows))
+
+
+def _csv_rows(level: float, first: int, lines: Polylines) -> str:
+    """The CSV rows of one level's polylines, numbered from first: the
+    level,segment, prefix is formatted once per polyline, and every
+    coordinate with %.17g in one pass over the flat x, y arrays."""
+    head = "%.17g," % level
+    counts = np.diff(lines.ends, prepend=0).tolist()
+    template = "".join(f"{head}{first + k},%.17g,%.17g\n" * n
+                       for k, n in enumerate(counts))
+    xy = np.empty(2 * len(lines.x))
+    xy[0::2], xy[1::2] = lines.x, lines.y
+    return template % tuple(xy.tolist())

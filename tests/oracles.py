@@ -32,7 +32,7 @@ import numpy as np
 
 from fringescale import (AllMaskedError, PhaseMap, RidgeResult, ScalarField,
                          masked_extrema, mexican_hat, wrap_phase)
-from fringescale.contours import contour_levels, marching_squares
+from fringescale.contours import contour_levels
 from fringescale.cwt import HAT_REACH, CwtSweep, _axis_dfts, _axis_samples, finish_plane
 from fringescale.core import TWO_PI, next_fast_len
 from fringescale.wft import WINDOW_TRUNCATION_SIGMAS, frequency_grid
@@ -319,7 +319,8 @@ def cell_marching_squares(field, level):
 
 
 def contour_csv_text(field, levels):
-    """Contour CSV text built one f-string row at a time."""
+    """Contour CSV text built one f-string row at a time from the
+    cell-by-cell marching squares."""
     try:
         lo, hi = masked_extrema(field)
     except AllMaskedError:
@@ -327,7 +328,7 @@ def contour_csv_text(field, levels):
     rows = ["level,segment,x,y"]
     seg = 0
     for level in contour_levels(lo, hi, levels):
-        for line in marching_squares(field, level):
+        for line in cell_marching_squares(field, level):
             for x, y in line:
                 rows.append(f"{level:.17g},{seg},{x:.17g},{y:.17g}")
             seg += 1

@@ -146,6 +146,19 @@ class TestMatchesCellOracle:
         for level in (0.0, unit, -unit, 0.3, float(vals[0, 0])):
             assert marching_squares(f, level) == cell_marching_squares(f, level)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_values_past_float32(self, scale):
+        # the cells' float32 ranges overflow to inf or underflow to 0, so
+        # many cells are candidates at each level; the exact case codes
+        # still pick the crossing ones, and the casts raise nothing
+        rng = np.random.default_rng(5)
+        vals = (rng.integers(-2, 3, size=(10, 12))
+                + 0.3 * rng.standard_normal((10, 12))) * scale
+        f = field_from_array(vals)
+        with np.errstate(all="raise"):
+            for level in (0.0, scale, -0.5 * scale, float(vals[0, 0])):
+                assert marching_squares(f, level) == cell_marching_squares(f, level)
+
     def test_exact_level_corners_merge(self):
         # corners exactly at the level: zero-length segments drop, and the
         # crossings of neighboring cells meet on the same point

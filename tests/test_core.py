@@ -20,6 +20,7 @@ from fringescale import (
     masked_extrema,
     wrap_phase,
 )
+from fringescale import core
 from fringescale.core import TWO_PI, _share, next_fast_len
 
 
@@ -225,10 +226,16 @@ class TestShare:
         assert want != np.geterr() and got == [want] * 3
 
     @pytest.mark.parametrize("parts", [[0], range(1)])
-    def test_one_part_starts_no_thread(self, thread_starts, parts):
+    def test_one_part_starts_no_thread(self, thread_starts, monkeypatch, parts):
+        built, executor = [], core.ThreadPoolExecutor
+
+        def record(*args, **kwargs):
+            built.append(args)
+            return executor(*args, **kwargs)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", record)
         assert _share(lambda p: threading.current_thread(), parts) == \
             [threading.current_thread()]
-        assert not thread_starts
+        assert not thread_starts and not built
 
     def test_no_thread_alive_on_return(self, thread_starts):
         before = threading.active_count()

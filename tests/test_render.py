@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from fringescale import field_from_array
+from fringescale import contours, field_from_array
 from fringescale.render import (
     COLORMAP_NAME,
     MASK_RGB,
@@ -141,3 +142,43 @@ class TestContourCsv:
         text = p.read_text()
         assert len({ln.split(",")[1] for ln in text.splitlines()[1:]}) > 20
         assert text == contour_csv_text(f, 7)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(8, 12), st.integers(8, 12),
+           st.sampled_from([0.5, 0.25, 0.3]), st.floats(0.0, 0.5),
+           st.integers(1, 4))
+    def test_random_fields_match_the_cell_oracle(self, tmp_path_factory, seed,
+                                                 h, w, unit, mask_share, levels):
+        # small integer multiples of a unit make saddles common, and one or
+        # three levels between -2 and 2 units put corners exactly on a
+        # level; the noise half breaks the ties
+        rng = np.random.default_rng(seed)
+        vals = rng.integers(-2, 3, size=(h, w)) * unit
+        if seed % 2:
+            vals = vals + 0.3 * rng.standard_normal((h, w))
+        mask = rng.random((h, w)) >= mask_share
+        vals[~mask] = 0.0
+        f = field_from_array(vals, mask)
+        p = tmp_path_factory.mktemp("csv") / "c.csv"
+        write_contour_csv(p, f, levels=levels)
+        assert p.read_text() == contour_csv_text(f, levels)
+
+    @pytest.mark.parametrize("center, walks", [(0.0, True), (0.25, False)])
+    def test_walk_and_pointer_jumping_match_the_cell_oracle(
+            self, tmp_path, monkeypatch, center, walks):
+        # the one level is 0: a center pixel on it, between two pixels
+        # above it in its row and below it elsewhere, is a corner four
+        # segments meet at, so the level is chained by the walk; lifted
+        # off the level, every point has degree 2 and pointer jumping
+        # chains it
+        walked, walk = [], contours._walk
+        monkeypatch.setattr(contours, "_walk",
+                            lambda *args: walked.append(args) or walk(*args))
+        vals = -np.ones((8, 8))
+        vals[4, 3:6] = 1.0, center, 1.0
+        f = field_from_array(vals)
+        p = tmp_path / "c.csv"
+        write_contour_csv(p, f, levels=1)
+        text = p.read_text()
+        assert text == contour_csv_text(f, 1)
+        assert bool(walked) == walks
+        assert text.count(",4,4\n") == (2 if walks else 0)  # the figure eight's waist

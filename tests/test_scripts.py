@@ -87,6 +87,19 @@ def test_unwrap_scaling():
     assert float(old_s) >= 0 and float(new_s) >= 0
     assert 0 < float(new_mb) < float(old_mb)
 
+
+def test_contour_scaling():
+    proc = run_script("contour_scaling.py", "--sizes", "48", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    head, row = proc.stdout.splitlines()
+    assert head.split() == ["size", "rows", "polylines", "classify_s", "segments_s",
+                            "chain_s", "format_s", "csv_s", "same_text"]
+    size, rows, polylines, *seconds, same = row.split()
+    assert size == "48" and same == "yes"
+    assert int(rows) > int(polylines) >= 10  # a closed loop per level at least
+    assert all(float(t) >= 0 for t in seconds)
+
+
 def test_cwt_scaling():
     proc = run_script("cwt_scaling.py", "--sizes", "48", "--repeat", "1")
     assert proc.returncode == 0, proc.stderr
