@@ -188,8 +188,7 @@ def next_fast_len(n: int) -> int:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: the threads of the ridge scan and of
-    the wavelet sweep."""
+    """CPUs this process may run on: the threads of the ridge scan."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
@@ -212,9 +211,11 @@ def _share(work, parts) -> list:
 
 def masked_extrema(f: ScalarField) -> tuple[float, float]:
     """(min, max) over valid pixels. Raises AllMaskedError when none exist."""
-    valid = f.valid()
-    if not valid.any():
+    if f.mask is None:
+        v = f.values
+    elif f.mask.any():
+        v = f.values[f.mask]
+    else:
         raise AllMaskedError("field has no valid pixels")
-    v = f.values[valid]
     return float(v.min()), float(v.max())
 

@@ -46,27 +46,13 @@ zero-fills it (a pruned FFT; Markel, IEEE Trans. Audio Electroacoust. 19,
 equal np.fft.irfft2 then crop bit for bit; the others differ from it by
 rounding only.
 
-Every transform is numpy.fft's pocketfft, run as a batch of independent
-1-D transforms, and the sweep splits each batch and each elementwise
-pass into contiguous slices of rows or columns, one per CPU the process
-may run on: worker threads take the first slices and the calling thread
-the last. The padded spectrum is an rfft over row slices, then an fft in
-place down column slices (out=), which is np.fft.rfft2 bit for bit
-without its second array. A plane takes three passes, each ended by
-waiting for the workers: over column slices of the kept box, the product
-with the multiplier, then an ifft in place down the columns; over row
-slices, an irfft along the kept rows, the crop and mask, and the slice's
-peak magnitude; over row slices again, the divide by the plane's peak
-and the threshold (finish_plane). A 1-D transform or an elementwise op
-gives the same bits on any slice, so the planes are the one-thread
-planes bit for bit at every CPU count. The calling thread makes every
-array a worker writes, and the workers write only through out=, copyto
-and in-place ops, for the reason the ridge scan's docstring in wft.py
-gives: glibc keeps what a thread allocates resident in its per-thread
-arena. A stage runs on the calling thread alone unless each slice gets
-SPLIT_MIN elements. A stage that splits starts its worker threads and
-joins them before it returns (core._share), so no thread is alive
-between planes and a sweep holds none.
+Every transform is numpy.fft's pocketfft, run on the calling thread as
+a batch of 1-D transforms. The padded spectrum is an rfft along the
+rows, then an fft in place down the columns (out=), which is
+np.fft.rfft2 bit for bit without its second array. A plane is the
+product with the multiplier over the kept box, an ifft in place down its
+columns, an irfft along the kept rows, the crop and mask, then the
+divide by the plane's peak and the threshold (finish_plane).
 
 For production runs on real phase maps the input is edge-padded and
 the plane cropped after the transform to suppress wraparound, while
@@ -102,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhaseMap, ScalarField, _share, _usable_cpus, next_fast_len
+from .core import PhaseMap, ScalarField, next_fast_len
 from .errors import AliasingWarning, AllMaskedError, BadScaleError, NumericError
 
 DISPLAY_SCALES = (3.0, 10.0, 50.0, 100.0)
@@ -116,14 +102,6 @@ HAT_REACH = 10.0
 # alpha |w| past which a plane drops the spectrum: the multiplier's shape
 # |w|^2 exp(-|w|^2 / 2) is 3.1e-18 of its peak 2/e at 9.5, below 1e-17.
 HAT_BAND = 9.5
-
-# Fewest elements a slice of a split stage takes. A hand-off starts its
-# worker threads and joins them (core._share): on a 2-vCPU x86 VM one
-# took 80-130 us with no work, an rfft stage over a 192^2 grid took
-# 150 us on one thread and 370-480 us split in two, and splitting every
-# stage made a 192^2 sweep 79-88 -> 105-131 ms.
-SPLIT_MIN = 1 << 16
-
 
 def mexican_hat(x, y):
     """Isotropic Mexican hat psi(x, y) = (2 - r^2) exp(-r^2 / 2)."""
@@ -217,31 +195,6 @@ def _band(n: int, alpha: float) -> int:
     return min(n // 2 + 1, int(np.ceil(HAT_BAND * n / (2.0 * np.pi * alpha))) + 1)
 
 
-def _plane_scale(peak: float, normalize: bool, fraction: float) -> tuple[float, float]:
-    """The divisor of a plane whose peak magnitude is peak, and the cut on
-    the magnitude of the divided plane (finish_plane). NumericError when
-    peak is not finite."""
-    if not np.isfinite(peak):
-        raise NumericError("wavelet plane is not finite; the phase overflows")
-    divisor = peak if normalize and peak > 0.0 else 1.0
-    return divisor, fraction * (peak / divisor)
-
-
-def _finish_rows(values: np.ndarray, below: np.ndarray, above: np.ndarray,
-                 divisor: float, cut: float) -> None:
-    """Divide values by divisor, then zero those whose magnitude is below
-    cut, in place; below and above are scratch masks."""
-    if divisor != 1.0:
-        values /= divisor
-    if cut > 0.0:
-        # |v| < cut exactly when -cut < v < cut: negation is exact, and
-        # neither holds for NaN
-        np.less(values, cut, out=below)
-        np.greater(values, -cut, out=above)
-        np.logical_and(below, above, out=below)
-        np.copyto(values, 0.0, where=below)
-
-
 def finish_plane(values: np.ndarray, normalize: bool, fraction: float) -> float:
     """Normalize and threshold one plane in place; returns the divisor.
 
@@ -251,12 +204,18 @@ def finish_plane(values: np.ndarray, normalize: bool, fraction: float) -> float:
     zero), so a plane with any signal ends up with peak exactly 1.
     Values whose magnitude is strictly below fraction * peak are then
     zeroed, keeping the boundary value itself; fraction 0 zeroes none.
-    A plane that is not finite raises NumericError. The sweep does the
-    same by row slices.
+    A plane that is not finite raises NumericError.
     """
-    divisor, cut = _plane_scale(float(np.abs(values).max()), normalize, fraction)
-    _finish_rows(values, np.empty(values.shape, dtype=bool),
-                 np.empty(values.shape, dtype=bool), divisor, cut)
+    # max |v| is max(max v, -min v) exactly; both are NaN if any v is
+    peak = float(max(values.max(), -values.min()))
+    if not np.isfinite(peak):
+        raise NumericError("wavelet plane is not finite; the phase overflows")
+    divisor = peak if normalize and peak > 0.0 else 1.0
+    if divisor != 1.0:
+        values /= divisor
+    cut = fraction * (peak / divisor)
+    if cut > 0.0:
+        np.copyto(values, 0.0, where=np.abs(values) < cut)
     return divisor
 
 
@@ -269,11 +228,10 @@ class CwtSweep:
     cropped and masked, then normalized and thresholded as params say
     (finish_plane), and divisor is the peak it was divided by (1.0 when
     it was not normalized). No plane is kept once it has been handed
-    out. The padding rule, the split of each plane across the CPUs, and
-    why one padded spectrum is held at a time, are in the module
-    docstring. The padded spectrum goes with the last plane, and no
-    worker thread outlives its stage, so a dropped sweep holds nothing
-    and a plane that raises leaves the sweep at the next scale.
+    out. The padding rule, the transforms of each plane, and why one
+    padded spectrum is held at a time, are in the module docstring. The
+    padded spectrum goes with the last plane, so a dropped sweep holds
+    nothing, and a plane that raises leaves the sweep at the next scale.
     """
 
     def __init__(self, phase, params: CwtParams):
@@ -299,7 +257,6 @@ class CwtSweep:
         self._max_margin = int(np.ceil(2.0 * max(params.scales))) if params.pad else 0
         self._valid = f.valid()
         self._shape = self._spectrum = None
-        self._workers = _usable_cpus()
         self.scales = params.scales
         self._alphas = iter(params.scales)
 
@@ -320,15 +277,6 @@ class CwtSweep:
         """The sweep itself; perfbench/spans.py counts len(sweep.planes)."""
         return self
 
-    def _split(self, n: int, length: int, work) -> list:
-        """work(s) for contiguous slices s of range(n), n lines of length
-        elements each: one slice per CPU but none under SPLIT_MIN
-        elements, handed out by core._share, the last to the calling
-        thread. Returns their results in order."""
-        k = max(1, min(self._workers, n, n * length // SPLIT_MIN))
-        cuts = [n * i // k for i in range(k + 1)]
-        return _share(work, [slice(a, b) for a, b in zip(cuts, cuts[1:])])
-
     def _grid(self, alpha: float) -> tuple[tuple[int, int], tuple[int, int]]:
         """The padded shape for alpha and the pad before each axis.
 
@@ -344,20 +292,16 @@ class CwtSweep:
 
     def _forward(self, shape: tuple[int, int], top: int, left: int) -> np.ndarray:
         """np.fft.rfft2 of the input edge-padded to shape, bit for bit: an
-        rfft along row slices, then an fft in place down column slices."""
+        rfft along the rows, then an fft in place down the columns."""
         (h, w), (ly, lx) = self._field.grid.shape, shape
         padded = np.pad(self._field.values, ((top, ly - h - top), (left, lx - w - left)),
                         mode="edge")
-        spectrum = np.empty((ly, lx // 2 + 1), dtype=complex)
-        self._split(ly, lx, lambda r: np.fft.rfft(padded[r], axis=1, out=spectrum[r]))
-        self._split(lx // 2 + 1, ly,
-                    lambda c: np.fft.fft(spectrum[:, c], axis=0, out=spectrum[:, c]))
-        return spectrum
+        spectrum = np.fft.rfft(padded, axis=1)
+        return np.fft.fft(spectrum, axis=0, out=spectrum)
 
     def _columns(self, alpha: float) -> np.ndarray:
         """The kept box of the spectrum times the multiplier, transformed
-        down its columns, in an (Ly, kx) array that is 0 outside the box:
-        by column slices."""
+        down its columns, in an (Ly, kx) array that is 0 outside the box."""
         (ly, lx), spectrum = self._shape, self._spectrum
         ky, kx = _band(ly, alpha), _band(lx, alpha)
         samples = _axis_samples(ly, alpha)
@@ -367,51 +311,37 @@ class CwtSweep:
         gx, hx = (v[:kx] for v in _axis_dfts(samples, half=True))
         ax = 2.0 * gx - hx
         product = np.zeros((ly, kx), dtype=complex)
+        for part in (slice(0, ky), slice(ly - ky + 1, ly)):
+            # (gy ax - hy gx) / alpha, built in the box's real and
+            # imaginary parts, then the spectrum times it
+            box = product[part]
+            np.multiply(gy[part, None], ax, out=box.real)
+            np.multiply(hy[part, None], gx, out=box.imag)
+            np.subtract(box.real, box.imag, out=box.real)
+            np.divide(box.real, alpha, out=box.real)
+            box.imag = 0.0
+            np.multiply(spectrum[part, :kx], box, out=box)
+        return np.fft.ifft(product, axis=0, out=product)
 
-        def work(c):
-            for part in (slice(0, ky), slice(ly - ky + 1, ly)):
-                # (gy ax - hy gx) / alpha, built in the box's real and
-                # imaginary parts, then the spectrum times it
-                box = product[part, c]
-                np.multiply(gy[part, None], ax[None, c], out=box.real)
-                np.multiply(hy[part, None], gx[None, c], out=box.imag)
-                np.subtract(box.real, box.imag, out=box.real)
-                np.divide(box.real, alpha, out=box.real)
-                box.imag = 0.0
-                np.multiply(spectrum[part, c], box, out=box)
-            np.fft.ifft(product[:, c], axis=0, out=product[:, c])
-        self._split(kx, ly, work)
-        return product
-
-    def _rows(self, product: np.ndarray, top: int, left: int) -> tuple[np.ndarray, float]:
-        """The plane from the column-transformed box, the irfft with n = Lx
-        along the kept rows, cropped and masked, and its peak magnitude:
-        by row slices."""
+    def _rows(self, product: np.ndarray, top: int, left: int) -> np.ndarray:
+        """The plane from the column-transformed box: the irfft with n = Lx
+        along the kept rows, cropped and masked."""
         (h, w), lx = self._field.grid.shape, self._shape[1]
-        full, plane = np.empty((h, lx)), np.zeros((h, w))
+        full, plane = np.fft.irfft(product[top:top + h], n=lx, axis=1), np.zeros((h, w))
+        np.copyto(plane, full[:, left:left + w], where=self._valid)
+        return plane
 
-        def work(r):
-            np.fft.irfft(product[top + r.start:top + r.stop], n=lx, axis=1, out=full[r])
-            np.copyto(plane[r], full[r, left:left + w], where=self._valid[r])
-            # max |v| is max(max v, -min v) exactly, NaN included
-            return plane[r].max(), -plane[r].min()
-        return plane, float(np.max(self._split(h, lx, work)))
-
-    @np.errstate(over="ignore", invalid="ignore")  # _plane_scale refuses the result
+    @np.errstate(over="ignore", invalid="ignore")  # finish_plane refuses the result
     def _plane(self, alpha: float) -> tuple[float, ScalarField, float]:
         f, params = self._field, self._params
-        (h, w), (shape, (top, left)) = f.grid.shape, self._grid(alpha)
+        shape, (top, left) = self._grid(alpha)
         if shape != self._shape:
             self._spectrum = None  # drop the old one before making the next
             self._spectrum, self._shape = self._forward(shape, top, left), shape
-        plane, peak = self._rows(self._columns(alpha), top, left)
-        divisor, cut = _plane_scale(peak, params.normalize, params.threshold_fraction)
-        if divisor != 1.0 or cut > 0.0:
-            below, above = np.empty((h, w), dtype=bool), np.empty((h, w), dtype=bool)
-            self._split(h, w, lambda r: _finish_rows(plane[r], below[r], above[r],
-                                                  divisor, cut))
-        # plane is C-contiguous, 0 at masked pixels and finite (the peak
-        # is), so the field adopts it
+        plane = self._rows(self._columns(alpha), top, left)
+        divisor = finish_plane(plane, params.normalize, params.threshold_fraction)
+        # plane is C-contiguous, 0 at masked pixels and finite (finish_plane
+        # refuses it otherwise), so the field adopts it
         return alpha, ScalarField._adopt(f.grid, plane, f.mask), divisor
 
 

@@ -60,14 +60,13 @@ test itself.
 The u grid is sorted by distance from the band centre (the smaller u
 first on ties) and split across k = min(len(us), usable CPUs) chunks, one
 per thread: the calling thread takes the last share and k - 1 worker
-threads the others. Each hand-off (core._share, as for the wavelet
-sweep's slices) starts its workers and joins them before it returns, so
-no thread outlives demodulate, and one CPU starts none; numpy's ufuncs
-and numpy.fft release the interpreter lock, so the threads run in
-parallel. The first u, the centre one, is the seed pass:
-the calling thread runs its row stage and its bound once, which every
-column passes, as the fresh best mag2 is -1 and the bound is never
-negative; the threads then run its column FFT and v loop on contiguous
+threads the others. Each hand-off (core._share) starts its workers and
+joins them before it returns, so no thread outlives demodulate, and one
+CPU starts none; numpy's ufuncs and numpy.fft release the interpreter
+lock, so the threads run in parallel. The first u, the centre one, is
+the seed pass: the calling thread runs its row stage and its bound
+once, which every column passes, as the fresh best mag2 is -1 and the
+bound is never negative; the threads then run its column FFT and v loop on contiguous
 slices of those columns, each into its own columns of one best, which
 is copied into every chunk. The other u's are dealt round-robin, chunk
 t taking order[1 + t::k], and each chunk prunes against its own best,

@@ -406,11 +406,10 @@ class TestCliDemodCwt:
         assert err.count("\n") == 1 and "numeric error" in err
         assert not out.exists()
 
-    # numpy's errstate does not reach threads by itself; a warning from
-    # the sweep's workers would print beside the one-line error
+    # an overflow warning from the sweep would print beside the one-line
+    # error
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_phase_overflowing_the_planes_exits_4(self, tmp_path, capsys, rng,
-                                                  split_workers):
+    def test_phase_overflowing_the_planes_exits_4(self, tmp_path, capsys, rng):
         p = tmp_path / "huge.fgrid"
         write_field(p, field_from_array(1e306 * (1.0 + rng.random((32, 32)))))
         out = tmp_path / "o"
@@ -422,8 +421,7 @@ class TestCliDemodCwt:
         assert not list(out.glob("plane_*"))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_phase_overflowing_the_first_plane_leaves_no_directory(self, tmp_path, rng,
-                                                                   split_workers):
+    def test_phase_overflowing_the_first_plane_leaves_no_directory(self, tmp_path, rng):
         p = tmp_path / "huge.fgrid"
         write_field(p, field_from_array(1e306 * (1.0 + rng.random((32, 32)))))
         out = tmp_path / "o"

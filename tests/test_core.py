@@ -146,12 +146,13 @@ class TestMaskedExtrema:
         a = rng.normal(size=(10, 10))
         m = rng.random((10, 10)) > 0.4
         a[~m] = 0.0
-        f = field_from_array(a, m)
-        lo, hi = masked_extrema(f)
-        vals = [a[y, x] for y in range(f.grid.height)
-                for x in range(f.grid.width) if m[y, x]]
-        assert lo == min(vals)
-        assert hi == max(vals)
+        for mask in (m, None):  # None: no mask, every pixel valid
+            f = field_from_array(a, mask)
+            lo, hi = masked_extrema(f)
+            vals = [a[y, x] for y in range(f.grid.height)
+                    for x in range(f.grid.width) if mask is None or mask[y, x]]
+            assert lo == min(vals)
+            assert hi == max(vals)
 
     def test_all_masked_raises(self):
         f = field_from_array(np.zeros((8, 8)), np.zeros((8, 8), dtype=bool))
