@@ -7,7 +7,8 @@ B x B frequencies at step 0.005 and a 10-px window. For each size and
 band the script prints the median wall time of `wft.demodulate` over
 --repeat calls (image synthesis excluded), the share of (u, column)
 pairs whose v loop the scan ran, out of len(us) * n, the padded FFT
-lengths nx x ny of the row and column transforms, and, against
+lengths nx x ny of the row and column transforms, the tracemalloc peak
+of one more call in bytes per pixel, and, against
 tests/oracles.py::float64_demodulate, the valid pixels whose winning
 (u, v) moved and the largest wrapped phase gap where it did not. The
 double-precision scan runs every (u, v) on every column, so it takes
@@ -20,6 +21,7 @@ import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,16 @@ def scan_once(img, params) -> tuple[float, int, str, wft.RidgeResult]:
     return elapsed, sum(c.scanned for c in chunks), padded, ridge
 
 
+def alloc_peak(img, params) -> float:
+    """The tracemalloc peak of one scan, in bytes per pixel."""
+    tracemalloc.start()
+    try:
+        wft.demodulate(img, params)
+        return tracemalloc.get_traced_memory()[1] / img.grid.npixels
+    finally:
+        tracemalloc.stop()
+
+
 def oracle_gap(img, params, ridge) -> tuple[int, float]:
     """Valid pixels whose winner differs from float64_demodulate's, and
     the largest wrapped phase gap at the others."""
@@ -83,7 +95,8 @@ def main() -> None:
 
     step = 0.005
     print(f"usable CPUs {_usable_cpus()}")
-    print("size   band     padded  scan_s  scanned_share  moved  phase_gap_rad")
+    print("size   band     padded  scan_s  peak_B/px  scanned_share  moved"
+          "  phase_gap_rad")
     for n in args.sizes:
         img = rib_step_image(n)
         for b in args.bands:
@@ -94,9 +107,10 @@ def main() -> None:
             n_u = len(wft.frequency_grid(params.band_x, step))
             runs = [scan_once(img, params) for _ in range(args.repeat)]
             share = runs[0][1] / (n_u * n)
+            peak = alloc_peak(img, params)
             moved, gap = oracle_gap(img, params, runs[0][3])
             print(f"{n:4d}  {b:2d}x{b:<2d}  {runs[0][2]:>9s}"
-                  f"  {statistics.median(r[0] for r in runs):6.3f}"
+                  f"  {statistics.median(r[0] for r in runs):6.3f}  {peak:9.1f}"
                   f"  {share:13.3f}  {moved:5d}  {gap:13.2e}")
 
 

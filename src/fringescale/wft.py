@@ -76,29 +76,41 @@ mag2 == best and its flat grid index is smaller, both within a chunk
 and in the merge of the chunks' bests. The winner is then the maximum
 of a total order, and a column's transforms give the same bits in any
 batch, so it equals the one-thread ascending scan's bit for bit,
-whatever the order of the scan and the column split. Each u gathers
-its surviving columns of the best arrays into contiguous buffers once,
-runs its v loop on them in place and scatters them back. Every array a
-thread writes is made by the calling thread, sized for all columns,
-and the thread writes into contiguous views of it through out= and
+whatever the order of the scan and the column split. Each u runs its
+surviving columns in blocks of at most b columns, b the even count whose
+column buffer, ny complex64 values per column, fits in BLOCK_BYTES (all
+192 columns of a 192^2 grid, 112 of a 512^2 grid's): each block gathers
+its columns of the best arrays into contiguous buffers once, runs its v
+loop on them in place and scatters them back. The bound walks the
+grid's columns in the same blocks; their width is even, so each pair of
+columns packed into one transform is the pair of the whole grid. Every
+array a thread writes is made by the calling thread, the scratch sized
+for one block and the best arrays and keep's masks for the grid, and
+the thread writes into contiguous views of them through out= and
 in-place transforms: when the threads made their own temporaries,
 glibc kept about 27 MB of them resident in its per-thread arenas after
 a 512^2 scan, which raised the peak RSS of the later unwrap step by as
-much.
+much. Once the chunks' bests are merged, only the merged best outlives
+the scan.
 
 unwrap integrates the wrapped phase along a maximum-reliability spanning
 forest (Herraez et al., Appl. Opt. 41, 7437, 2002): the 4-neighbor edges
 between valid pixels are ranked by descending q(a) + q(b), ties by edge
 index (all horizontal edges in row-major order, then all vertical ones),
 and linked in Boruvka rounds, each component taking its best-ranked edge
-to another component. Every pixel receives the value of its tree
-neighbor plus the wrapped difference. The 2 pi multiple is tracked as an
-exact integer per pixel, so the output differs from the input by exact
-multiples of 2 pi (up to one rounding of 2*pi*k) and equals the input at
-the best pixel of each connected region (highest quality, first in
-row-major order on ties). Where the wrapped differences sum to zero
-around every loop of valid pixels (no residues, and no net turn around a
-masked hole), every spanning tree gives the same result.
+to another component. In the first round every pixel is its own
+component, so each valid pixel compares its at most four edges on the
+grid: left, right, up, then down, which is ascending edge index. Later
+rounds read the edges between different components off the grid in
+index order and group them by component, so no array spans every edge.
+Every pixel receives the value of its tree neighbor plus the wrapped
+difference. The 2 pi multiple is tracked as an exact integer per pixel,
+so the output differs from the input by exact multiples of 2 pi (up to
+one rounding of 2*pi*k) and equals the input at the best pixel of each
+connected region (highest quality, first in row-major order on ties).
+Where the wrapped differences sum to zero around every loop of valid
+pixels (no residues, and no net turn around a masked hole), every
+spanning tree gives the same result.
 """
 
 from __future__ import annotations
@@ -119,6 +131,11 @@ WINDOW_TRUNCATION_SIGMAS = 4
 # pair): see the module docstring.
 FFT_ROUNDOFF = 32 * 2.0 ** -24
 BOUND_SLACK = 2.0 ** -16
+# Bytes of one block of the scan's column buffer (_block_width): the
+# smallest power of two that keeps a 192^2 grid in one block, as a grid
+# that small is bound by the interpreter, not by memory. A 512^2 grid
+# takes 112 columns per block.
+BLOCK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -215,10 +232,14 @@ def _kernel_ffts(t: np.ndarray, w: np.ndarray, freqs: np.ndarray,
 class _ChunkScan:
     """One thread's share of the scan: its buffers and its best arrays.
 
-    Every array a thread writes is made here, in the calling thread,
-    sized for all w columns; the thread only writes into contiguous views
-    of them, products and transforms through out=. scanned counts the
-    (u, column) pairs the chunk ran the v loop on.
+    Every array a thread writes is made here, in the calling thread. The
+    best arrays and the take and tie masks of keep span the grid, as the
+    merge of the chunks runs keep on whole bests; the scratch of the
+    column FFTs, the v loop and the bound holds one block of block
+    columns (_block_width), which columns and _reachable walk in turn.
+    The thread only writes into contiguous views of these arrays,
+    products and transforms through out=. scanned counts the (u, column)
+    pairs the chunk ran the v loop on.
     """
 
     def __init__(self, shape: tuple[int, int], row_fft: np.ndarray,
@@ -233,19 +254,20 @@ class _ChunkScan:
         self.best_mag2 = np.full(shape, -1.0, dtype=np.float32)
         self.best_resp = np.zeros(shape, dtype=np.complex64)
         self.best_idx = np.zeros(shape, dtype=np.int32)  # flat (u, v) grid index
-        self.rows = np.empty((h, row_fft.shape[1]), dtype=np.complex64)
-        # flat scratch, viewed as (rows, m) for the m columns a u scans
-        self.cols = np.empty(ny * w, dtype=np.complex64)
-        self.product = np.empty(ny * w, dtype=np.complex64)
-        self.part = (np.empty(h * w, dtype=np.float32),
-                     np.empty(h * w, dtype=np.complex64),
-                     np.empty(h * w, dtype=np.int32))
-        self.mag2 = np.empty(h * w, dtype=np.float32)
-        self.square = np.empty(h * w, dtype=np.float32)
         self.take = np.empty(h * w, dtype=bool)
         self.tie = np.empty(h * w, dtype=bool)
-        self.eps = np.empty(w + w % 2, dtype=np.float32)  # eps_x, per column
         self.reach = np.empty(w, dtype=bool)
+        self.rows = np.empty((h, row_fft.shape[1]), dtype=np.complex64)
+        # flat scratch for one block, viewed as (rows, m) for its m columns
+        self.block = b = min(_block_width(ny), w + w % 2)
+        self.cols = np.empty(ny * b, dtype=np.complex64)
+        self.product = np.empty(ny * b, dtype=np.complex64)
+        self.part = (np.empty(h * b, dtype=np.float32),
+                     np.empty(h * b, dtype=np.complex64),
+                     np.empty(h * b, dtype=np.int32))
+        self.mag2 = np.empty(h * b, dtype=np.float32)
+        self.square = np.empty(h * b, dtype=np.float32)
+        self.eps = np.empty(b, dtype=np.float32)  # eps_x, per column
 
     @property
     def best(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,14 +290,19 @@ class _ChunkScan:
                 best: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
         """Run u grid index i against every v on the columns x of rows = c_u,
         taking the winners into best = (mag2, resp, idx) at those columns
-        alone: they are gathered into contiguous buffers once, the v loop
-        runs on them in place, and they are scattered back."""
+        alone, block columns of x at a time."""
+        self.scanned += len(x)
+        for lo in range(0, len(x), self.block):
+            self._column_block(i, rows, x[lo:lo + self.block], best)
+
+    def _column_block(self, i: int, rows: np.ndarray, x: np.ndarray,
+                      best: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        """columns on at most block columns x: they are gathered into
+        contiguous buffers once, the v loop runs on them in place, and
+        they are scattered back."""
         h = rows.shape[0]
         ny = self.col_kernels.shape[1]
         m = len(x)
-        if not m:
-            return
-        self.scanned += m
         cols = _view(self.cols, (ny, m))
         # mode="clip" writes straight into out; "raise" buffers a copy
         np.take(rows, x, axis=1, out=cols[:h], mode="clip")
@@ -298,18 +325,31 @@ class _ChunkScan:
     def _reachable(self, rows: np.ndarray) -> np.ndarray:
         """Columns holding a pixel where (B + eps_x)^2 (1 + delta) reaches
         the running best mag2, B being the window-weighted column sum of
-        |c_u| = |rows|, which bounds |R(u, v)| for every v."""
-        h, w = self.best_mag2.shape
+        |c_u| = |rows|, which bounds |R(u, v)| for every v; block columns
+        at a time, an even count, so each pair of columns packed into one
+        transform is the same as on the whole grid."""
+        w = self.best_mag2.shape[1]
+        for lo in range(0, w, self.block):
+            hi = min(lo + self.block, w)
+            self._reach_block(rows[:, lo:hi], self.best_mag2[:, lo:hi],
+                              self.reach[lo:hi])
+        return np.flatnonzero(self.reach)
+
+    def _reach_block(self, rows: np.ndarray, best_mag2: np.ndarray,
+                     reach: np.ndarray) -> None:
+        """_reachable on at most block columns: reach[c] is True where
+        column c of rows holds a pixel whose bound reaches best_mag2."""
+        h, w = rows.shape
         ny = self.col_kernels.shape[1]
         # two columns per complex transform: the window is real, so the
         # real and imaginary parts convolve apart
         packed = _view(self.product, (ny, (w + 1) // 2))
         mags = packed.view(np.float32)
-        np.abs(rows[:, :w], out=mags[:h, :w])
+        np.abs(rows, out=mags[:h, :w])
         mags[:h, w:] = 0.0
         mags[h:] = 0.0
         # eps_x scales with the 2-norm of the pair of columns transformed together
-        eps = self.eps
+        eps = self.eps[:w + w % 2]
         np.sum(np.square(mags[:h, :w], out=_view(self.square, (h, w))), axis=0,
                out=eps[:w])
         eps[w:] = 0.0
@@ -320,13 +360,13 @@ class _ChunkScan:
         eps *= self.eps_per_norm
         z = np.fft.fft(packed, axis=0, norm="forward", out=packed)
         z = np.fft.ifft(np.multiply(z, self.window_fft, out=z), axis=0, out=z)
-        reach = _view(self.mag2, (h, w))
-        np.add(z.view(np.float32)[:h, :w], eps[:w], out=reach)
-        np.square(reach, out=reach)
-        reach *= 1.0 + BOUND_SLACK
+        bound = _view(self.mag2, (h, w))
+        np.add(z.view(np.float32)[:h, :w], eps[:w], out=bound)
+        np.square(bound, out=bound)
+        bound *= 1.0 + BOUND_SLACK
         take = _view(self.take, (h, w))
-        np.greater_equal(reach, self.best_mag2, out=take)
-        return np.flatnonzero(np.any(take, axis=0, out=self.reach))
+        np.greater_equal(bound, best_mag2, out=take)
+        np.any(take, axis=0, out=reach)
 
     def keep(self, best: tuple[np.ndarray, np.ndarray, np.ndarray],
              mag2: np.ndarray, resp: np.ndarray, idx: int | np.ndarray) -> None:
@@ -342,6 +382,13 @@ class _ChunkScan:
         np.copyto(best_mag2, mag2, where=take)
         np.copyto(best_resp, resp, where=take)
         np.copyto(best_idx, idx, where=take)
+
+
+def _block_width(ny: int) -> int:
+    """Columns per block of the scan's scratch: the largest even count
+    whose column buffer, ny complex64 values per column, fits in
+    BLOCK_BYTES, and at least 2."""
+    return max(2, BLOCK_BYTES // (8 * ny) // 2 * 2)
 
 
 def _view(buf: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -403,19 +450,21 @@ def demodulate(img: ScalarField, params: DemodParams) -> RidgeResult:
     chunks = [_ChunkScan(shape, row_fft, row_kernels, col_kernels, window_fft,
                          eps_per_norm) for _ in range(k)]
     _scan(chunks, order)
-    best = chunks[0]
-    for chunk in chunks[1:]:
-        best.keep(best.best, *chunk.best)
-    best_u, best_v = np.divmod(best.best_idx, len(vs))
-    valid = img.valid()
-    phase_vals = np.where(
-        valid, wrap_phase(np.angle(best.best_resp.astype(np.complex128))), 0.0)
+    # only the merged best outlives the scan
+    while len(chunks) > 1:
+        chunks[0].keep(chunks[0].best, *chunks.pop().best)
+    best_mag2, best_resp, best_idx = chunks.pop().best
+    del row_fft
+    # the angle of the widened response, without its complex128 copy
+    phase_vals = np.where(img.valid(), wrap_phase(np.arctan2(
+        best_resp.imag.astype(np.float64), best_resp.real.astype(np.float64))), 0.0)
+    del best_resp
+    best_u, best_v = np.divmod(best_idx, len(vs))
     return RidgeResult(
         phase=PhaseMap(ScalarField(img.grid, phase_vals, img.mask), wrapped=True),
         freq_x=ScalarField(img.grid, us[best_u]),
         freq_y=ScalarField(img.grid, vs[best_v]),
-        ridge_amplitude=ScalarField(img.grid,
-                                    np.sqrt(best.best_mag2.astype(np.float64))),
+        ridge_amplitude=ScalarField(img.grid, np.sqrt(best_mag2.astype(np.float64))),
     )
 
 
@@ -458,6 +507,64 @@ def _best_per_label(top: np.ndarray, best: np.ndarray, labels: tuple,
         np.minimum.at(best, lab[at_top], index[at_top])
 
 
+def _pixel_edges(ids: np.ndarray, q: np.ndarray, across: np.ndarray,
+                 down: np.ndarray, top: np.ndarray, best: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first Boruvka round, where every pixel is its own component:
+    the pixels with an edge, again as the inner end of their best edge,
+    and the pixel across it, found on the grid of pixel ids. Each pixel
+    offers its left, right, up and down edge in turn, which is ascending
+    edge index, and a strict > keeps the first of equal keys, so ties go
+    to the smallest index as in _best_per_label. top and best are
+    scratch."""
+    h, w = q.shape
+    key, other = top.reshape(h, w), best.reshape(h, w)
+    key.fill(-np.inf)
+    grid = ids.reshape(h, w)
+    for live, lo, hi in ((across, np.s_[:, :-1], np.s_[:, 1:]),
+                         (down, np.s_[:-1], np.s_[1:])):
+        rel = np.full(live.shape, -np.inf)
+        np.add(q[lo], q[hi], out=rel, where=live)
+        for at, to in ((hi, lo), (lo, hi)):
+            take = np.greater(rel, key[at])
+            np.copyto(key[at], rel, where=take)
+            np.copyto(other[at], grid[to], where=take)
+    pix = np.flatnonzero(top > -np.inf)
+    return pix, pix, best[pix]
+
+
+def _component_edges(root: np.ndarray, q: np.ndarray, across: np.ndarray,
+                     down: np.ndarray, top: np.ndarray, best: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A later Boruvka round: the roots of the components with an edge
+    to another and, for each, the two ends of its best edge, its own
+    first. The live edges, those whose ends have different roots, are
+    read off the grid in index order, so each one's position in that
+    list breaks ties as its index would. top and best are scratch."""
+    h, w = q.shape
+    r = root.reshape(h, w)
+    cut = np.zeros((h, w), dtype=bool)
+    np.not_equal(r[:, :-1], r[:, 1:], out=cut[:, :-1])
+    cut[:, :-1] &= across
+    left = np.flatnonzero(cut)
+    np.not_equal(r[:-1], r[1:], out=cut[:-1])
+    cut[:-1] &= down
+    cut[-1] = False
+    up = np.flatnonzero(cut)
+    a = np.concatenate((left, up)).astype(root.dtype)
+    b = np.concatenate((left + 1, up + w)).astype(root.dtype)
+    del left, up
+    qf = q.ravel()
+    rel = qf[a]
+    rel += qf[b]
+    ra, rb = root[a], root[b]
+    _best_per_label(top, best, (ra, rb), rel, np.arange(a.size, dtype=root.dtype))
+    comps = np.flatnonzero(best != np.iinfo(best.dtype).max)
+    e = best[comps]
+    from_a = ra[e] == comps
+    return comps, np.where(from_a, a[e], b[e]), np.where(from_a, b[e], a[e])
+
+
 def _forest_turns(vals: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Integer 2 pi turns per pixel along the maximum-reliability forest.
 
@@ -468,38 +575,27 @@ def _forest_turns(vals: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndar
     it was hooked, which agrees with the other direction unless the
     wrapped difference lies within rounding of +-pi. Finally each
     component is re-referenced to its best pixel, which gets k = 0.
-    Indices and offsets take _index_dtype(n); the per-pixel buffers are
-    made once and refilled every round.
+    The first round compares each pixel's neighbours on the grid
+    (_pixel_edges); the later ones group the live edges by component
+    (_component_edges). No array spans every edge. Indices and offsets
+    take _index_dtype(n); the per-pixel buffers are made once and
+    refilled every round.
     """
     h, w = vals.shape
     n = h * w
     idx = _index_dtype(n)
-    none = np.iinfo(idx).max
     ids = np.arange(n, dtype=idx)
-    grid = ids.reshape(h, w)
     across = valid[:, :-1] & valid[:, 1:]
     down = valid[:-1] & valid[1:]
-    a = np.concatenate((grid[:, :-1][across], grid[:-1][down]))
-    b = np.concatenate((grid[:, 1:][across], grid[1:][down]))
     qf, vf = q.ravel(), vals.ravel()
-    rel = qf[a] + qf[b]
     root = ids.copy()
     off = np.zeros(n, dtype=idx)
-    live = np.arange(a.size, dtype=idx)
     parent = np.empty(n, dtype=idx)
     hook = np.empty(n, dtype=idx)  # k(comp root) - k(parent root)
     top = np.empty(n)
     best = np.empty(n, dtype=idx)
-    while True:
-        live = live[root[a[live]] != root[b[live]]]
-        if not live.size:
-            break
-        _best_per_label(top, best, (root[a[live]], root[b[live]]), rel[live], live)
-        comps = np.flatnonzero(best != none)
-        e = best[comps]
-        from_a = root[a[e]] == comps
-        inner = np.where(from_a, a[e], b[e])
-        outer = np.where(from_a, b[e], a[e])
+    comps, inner, outer = _pixel_edges(ids, q, across, down, top, best)
+    while comps.size:
         parent[:] = ids
         parent[comps] = root[outer]
         # the hooked edge's turn k(inner) - k(outer): wrap(d) = d - 2 pi m
@@ -520,6 +616,9 @@ def _forest_turns(vals: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndar
             parent[comps] = up2
         off += hook[root]
         root = parent[root]
+        # this round's arrays go before the next round's edges are made
+        del comps, inner, outer, turn, mutual, up, up2
+        comps, inner, outer = _component_edges(root, q, across, down, top, best)
     pix = ids[valid.ravel()]
     _best_per_label(top, best, (root[pix],), qf[pix], pix)
     k = np.zeros(n, dtype=idx)
@@ -539,8 +638,9 @@ def unwrap(p: PhaseMap, quality: ScalarField | np.ndarray | None = None) -> Phas
 
     Pixel ids, edge indices and turn offsets are int32 below 2^30
     pixels (intp beyond). The forest's allocation peak is then about
-    128 bytes per pixel, 33 MB at 512^2 (tracemalloc), on top of the
-    input, the quality map and the output.
+    67 bytes per pixel, 17.5 MB at 512^2 (tracemalloc,
+    scripts/unwrap_scaling.py), on top of the input, the quality map and
+    the output.
     """
     if not p.wrapped:
         raise ValueError("unwrap expects a wrapped phase map")

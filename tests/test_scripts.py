@@ -67,12 +67,12 @@ def test_scan_scaling():
     proc = run_script("scan_scaling.py", "--sizes", "48", "--bands", "3", "--repeat", "1")
     assert proc.returncode == 0, proc.stderr
     head, row = proc.stdout.splitlines()[-2:]
-    assert head.split() == ["size", "band", "padded", "scan_s", "scanned_share",
-                            "moved", "phase_gap_rad"]
-    size, band, padded, seconds, share, moved, gap = row.split()
+    assert head.split() == ["size", "band", "padded", "scan_s", "peak_B/px",
+                            "scanned_share", "moved", "phase_gap_rad"]
+    size, band, padded, seconds, peak, share, moved, gap = row.split()
     # r = 40: next_fast_len(max(48 + 40, 81)) is the 5-smooth 90
     assert (size, band, padded) == ("48", "3x3", "90x90")
-    assert float(seconds) > 0 and 0 < float(share) <= 1
+    assert float(seconds) > 0 and float(peak) > 0 and 0 < float(share) <= 1
     assert moved == "0" and 0 < float(gap) <= 1e-6
 
 

@@ -31,7 +31,7 @@ from fringescale import (
     wrap_phase,
 )
 from fringescale import wft
-from fringescale.core import TWO_PI
+from fringescale.core import TWO_PI, next_fast_len
 from fringescale.synth import NoiseSpec
 from fringescale.wft import frequency_grid
 from oracles import (float64_demodulate, flood_fill_unwrap, int64_forest_turns,
@@ -546,6 +546,62 @@ class TestThreadedScanMatchesSequential:
         assert np.array_equal(np.sort(np.concatenate([x for _, x in seeded])),
                               np.arange(96))
 
+    @staticmethod
+    def count_blocks(monkeypatch):
+        """Count the calls of columns and _reachable, and of the per-block
+        steps they run, in one dict."""
+        calls = dict.fromkeys(("columns", "_column_block", "_reachable",
+                               "_reach_block"), 0)
+        for name in calls:
+            def counted(chunk, *args, _name=name, _step=getattr(wft._ChunkScan, name)):
+                calls[_name] += 1
+                return _step(chunk, *args)
+            monkeypatch.setattr(wft._ChunkScan, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wide_grid_in_column_blocks(self, scan_workers, monkeypatch, workers):
+        # an odd width over three blocks: the bound packs columns in pairs
+        # within each even-width block, and the last block holds 35
+        grid = GridSpec(615, 200)
+        truth = make_phase(grid, PhantomSpec(kind="rib_step", peak=6.0,
+                                             widths=(80.0, 60.0),
+                                             rib_rect=(60, 120, 200, 50)))
+        img = make_fringes(truth, CarrierSpec(fx=0.125),
+                           NoiseSpec(sigma=0.05, seed=11)).deformed
+        ny = next_fast_len(grid.height + 20)  # r = 20 at sigma 5
+        block = wft._block_width(ny)
+        assert block % 2 == 0 and grid.width == 2 * block + 35
+        calls = self.count_blocks(monkeypatch)
+        self.assert_identical(img, SMALL_PARAMS, scan_workers, workers)
+        # the seed u reaches every column, so the bound runs 3 blocks per
+        # call and the v loop more blocks than calls
+        assert calls["_reach_block"] >= 3 * calls["_reachable"]
+        assert calls["_column_block"] > calls["columns"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_two_column_blocks(self, scan_workers, monkeypatch, workers):
+        # the narrowest blocks, every one a single pair of columns but
+        # the odd width's last
+        monkeypatch.setattr(wft, "BLOCK_BYTES", 1)
+        assert wft._block_width(1000) == 2
+        truth = make_phase(GridSpec(45, 40), PhantomSpec(
+            kind="gaussian_plume", peak=3.0, widths=(12.0, 12.0)))
+        img = make_fringes(truth, CarrierSpec(fx=0.125),
+                           NoiseSpec(sigma=0.05, seed=5)).deformed
+        self.assert_identical(img, SMALL_PARAMS, scan_workers, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_192_grid_is_one_block(self, scan_workers, monkeypatch, workers):
+        # a 192^2 scan is bound by the interpreter, not by memory: more
+        # blocks would only add numpy calls per (u, v)
+        scan_workers(workers)
+        calls = self.count_blocks(monkeypatch)
+        demodulate(rib_step_pair(192, 0.02)[1].deformed, DemodParams.for_carrier(0.125))
+        # a u no column reaches runs no block at all
+        assert 0 < calls["_column_block"] <= calls["columns"]
+        assert calls["_reach_block"] == calls["_reachable"]
+
 
 class TestRelativePhase:
     def _pm(self, vals):
@@ -863,20 +919,53 @@ class TestForestMatchesInt64Oracle:
         q = rng.integers(0, 3, (h, w)).astype(float) if tied else rng.random((h, w))
         self.check(vals, q, valid)
 
-    def test_alloc_peak_under_six_tenths_of_the_oracle(self):
-        # measured at 256^2: 8.4 MB against 16.5 MB (0.51x)
-        vals, valid = forest_inputs("masked_noisy", 256)
+    @pytest.mark.parametrize("quality", ["uniform", "random", "tied"])
+    @pytest.mark.parametrize("name", ["row", "column", "isolated", "islands"])
+    def test_equal_turns_on_thin_and_split_grids(self, name, quality):
+        # 1 x n and n x 1 grids (one edge direction is empty), valid pixels
+        # with no valid neighbour (no edge at all), and masked lines that
+        # cut the grid into nine islands; thin grids are below GridSpec's
+        # minimum, so only the turns are compared
+        rng = np.random.default_rng(sum(map(ord, name + quality)))
+        shape = {"row": (1, 40), "column": (40, 1)}.get(name, (32, 32))
+        valid = np.ones(shape, dtype=bool)
+        if name in ("row", "column"):
+            valid.flat[17] = False
+        elif name == "isolated":
+            valid[:] = False
+            valid[::2, ::2] = True
+        else:
+            valid[10] = valid[21] = valid[:, 10] = valid[:, 21] = False
+        vals = np.where(valid, wrap_phase(rng.uniform(-10, 10, shape)), 0.0)
+        q = {"uniform": lambda: np.zeros(shape),
+             "random": lambda: rng.random(shape),
+             "tied": lambda: rng.integers(0, 3, shape).astype(float)}[quality]()
+        got = wft._forest_turns(vals, q, valid)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, int64_forest_turns(vals, q, valid))
+
+    @staticmethod
+    def alloc_peak(forest, n):
+        """The tracemalloc peak of forest on the n x n masked_noisy input."""
+        vals, valid = forest_inputs("masked_noisy", n)
         q = np.random.default_rng(3).random(vals.shape)
+        tracemalloc.start()
+        try:
+            forest(vals, q, valid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        def alloc_peak(forest):
-            tracemalloc.start()
-            try:
-                forest(vals, q, valid)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_alloc_peak_under_four_tenths_of_the_oracle(self):
+        # measured at 256^2: 4.0 MB against 12.4 MB (0.32x); 0.54x while
+        # the first round still ran on arrays over every edge
+        assert (self.alloc_peak(wft._forest_turns, 256)
+                <= 0.4 * self.alloc_peak(int64_forest_turns, 256))
 
-        assert alloc_peak(wft._forest_turns) <= 0.6 * alloc_peak(int64_forest_turns)
+    def test_alloc_peak_per_pixel(self):
+        # measured at 256^2: 61.4 bytes per pixel, 102.8 while the first
+        # round still ran on arrays over every edge; a 10% margin
+        assert self.alloc_peak(wft._forest_turns, 256) <= 68 * 256 ** 2
 
     def test_index_dtype_is_int32_below_two_to_the_30_pixels(self):
         limit = 2 ** 30
