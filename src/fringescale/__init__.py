@@ -22,8 +22,6 @@ from .cwt import (
     cwt_plane,
     cwt_sweep,
     default_scale_grid,
-    mexican_hat,
-    mexican_hat_spectrum,
 )
 from .errors import (
     AliasingWarning,
@@ -96,8 +94,6 @@ __all__ = [
     "make_fringes",
     "make_phase",
     "masked_extrema",
-    "mexican_hat",
-    "mexican_hat_spectrum",
     "read_field",
     "read_image",
     "read_pgm",

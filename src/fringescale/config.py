@@ -58,11 +58,11 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "grid.width": ("int", 512),
     "grid.height": ("int", 512),
     "phantom.kind": ("str", "gaussian_plume"),
-    "phantom.peak": ("float", 2.0),
+    "phantom.peak": ("float", PhantomSpec.peak),
     "phantom.center_x": ("float", None),
     "phantom.center_y": ("float", None),
-    "phantom.sigma_x": ("float", 60.0),
-    "phantom.sigma_y": ("float", 60.0),
+    "phantom.sigma_x": ("float", PhantomSpec.widths[0]),
+    "phantom.sigma_y": ("float", PhantomSpec.widths[1]),
     "phantom.rib_x0": ("int", 0),
     "phantom.rib_y0": ("int", 0),
     "phantom.rib_w": ("int", 0),

@@ -198,12 +198,10 @@ def _usable_cpus() -> int:
 def _share(work, parts) -> list:
     """work(p) for each p in parts, the last on the calling thread and the
     others on worker threads that start here and are joined before it
-    returns; one part runs on the calling thread alone, with no executor.
-    Returns their results in order. Each worker runs in a copy of the
-    caller's context, so under its np.errstate."""
-    if len(parts) == 1:
-        return [work(parts[0])]
-    with ThreadPoolExecutor(len(parts) - 1) as pool:
+    returns, so one part starts no thread. Returns their results in order.
+    Each worker runs in a copy of the caller's context, so under its
+    np.errstate."""
+    with ThreadPoolExecutor(max(1, len(parts) - 1)) as pool:
         futures = [pool.submit(copy_context().run, work, p) for p in parts[:-1]]
         last = work(parts[-1])
         return [future.result() for future in futures] + [last]

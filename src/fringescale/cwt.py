@@ -103,22 +103,6 @@ HAT_REACH = 10.0
 # |w|^2 exp(-|w|^2 / 2) is 3.1e-18 of its peak 2/e at 9.5, below 1e-17.
 HAT_BAND = 9.5
 
-def mexican_hat(x, y):
-    """Isotropic Mexican hat psi(x, y) = (2 - r^2) exp(-r^2 / 2)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    r2 = x * x + y * y
-    return (2.0 - r2) * np.exp(-0.5 * r2)
-
-
-def mexican_hat_spectrum(wx, wy):
-    """Closed-form transform 2 pi |w|^2 exp(-|w|^2 / 2), angular frequency."""
-    wx = np.asarray(wx, dtype=np.float64)
-    wy = np.asarray(wy, dtype=np.float64)
-    w2 = wx * wx + wy * wy
-    return 2.0 * np.pi * w2 * np.exp(-0.5 * w2)
-
-
 def default_scale_grid() -> tuple[float, ...]:
     """DEFAULT_SCALE_COUNT log-spaced scales on DEFAULT_SCALE_RANGE with
     the display scales snapped onto it.

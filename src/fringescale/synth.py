@@ -36,15 +36,16 @@ class PhantomSpec:
     * constant: phi = peak everywhere
     * ramp: phi rises linearly along x from 0 to peak
     * gaussian_plume: peak * exp(-((x-cx)^2/(2 sx^2) + (y-cy)^2/(2 sy^2)))
-      with center (cx, cy) defaulting to the grid center
+      with widths (sx, sy) and center (cx, cy), the latter defaulting
+      to the grid center
     * rib_step: gaussian_plume with rib_rect (x0, y0, w, h) zeroed and
       masked out, producing a sharp step at the rectangle boundary
     """
 
     kind: str
-    peak: float = 1.0
+    peak: float = 2.0
     center: tuple[float, float] | None = None
-    widths: tuple[float, float] | None = None
+    widths: tuple[float, float] = (60.0, 60.0)
     rib_rect: tuple[int, int, int, int] | None = None
 
     def __post_init__(self):
@@ -53,7 +54,7 @@ class PhantomSpec:
                 f"unknown phantom kind {self.kind!r}; expected one of {PHANTOM_KINDS}")
         if not np.isfinite(self.peak):
             raise BadSpecError("phantom peak must be finite")
-        if self.widths is not None and any(w <= 0 for w in self.widths):
+        if any(w <= 0 for w in self.widths):
             raise BadSpecError(f"phantom widths must be positive, got {self.widths}")
 
 
@@ -92,8 +93,6 @@ def default_center(grid: GridSpec) -> tuple[float, float]:
 
 
 def _plume(grid: GridSpec, spec: PhantomSpec) -> np.ndarray:
-    if spec.widths is None:
-        raise BadSpecError(f"{spec.kind} phantom needs widths (sigma_x, sigma_y)")
     sx, sy = spec.widths
     cx, cy = spec.center if spec.center is not None else default_center(grid)
     x = np.arange(grid.width, dtype=np.float64)[None, :]

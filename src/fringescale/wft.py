@@ -20,8 +20,14 @@ magnitude are widened to float64 before the phase and the ridge
 amplitude are taken. Because the exponential is re-referenced to the
 window center, the argument of the response at the ridge equals the
 total local fringe phase regardless of which frequency grid point the
-ridge search picked, so subtracting reference from deformed cancels the
-carrier term identically.
+ridge search picked, where that phase is locally linear, so subtracting
+reference from deformed cancels the carrier term identically. Where the
+phase bends inside the window the argument gains
+(1/2) [atan(sigma^2 l1) + atan(sigma^2 l2)], l1 and l2 the eigenvalues
+of the phase's Hessian in rad/px^2: the argument of the chirped Gaussian
+integral of exp(-s^2 / (2 sigma^2) + i l s^2 / 2) (Kemao, Opt. Lasers
+Eng. 45, 304, 2007). The reference carrier is straight, so the relative
+phase keeps the deformed image's term whole; nothing here corrects it.
 
 Every transform is numpy.fft's pocketfft, through out= buffers. A
 complex64 transform stays single precision and in place only with a
@@ -177,8 +183,8 @@ class DemodParams:
             raise BadSpecError(f"window_sigma must be positive, got {self.window_sigma}")
 
     @classmethod
-    def for_carrier(cls, fx: float, **kw) -> "DemodParams":
-        return cls(band_x=(fx - 0.1, fx + 0.1), **kw)
+    def for_carrier(cls, fx: float) -> "DemodParams":
+        return cls(band_x=(fx - 0.1, fx + 0.1))
 
 
 @dataclass(frozen=True)

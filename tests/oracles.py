@@ -22,6 +22,9 @@ the sweep on the same padded grids with every plane made that way.
 int64_forest_turns is the reliability-forest unwrap as it ran with
 64-bit indices and per-round copies, the byte-for-byte reference for
 the forest that replaced it.
+mexican_hat and mexican_hat_spectrum are the closed forms of the hat and
+its transform that the cwt module docstring states, which the spatial
+sums here and the kernel-identity tests evaluate.
 """
 
 import heapq
@@ -31,11 +34,27 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from fringescale import (AllMaskedError, PhaseMap, RidgeResult, ScalarField,
-                         masked_extrema, mexican_hat, wrap_phase)
+                         masked_extrema, wrap_phase)
 from fringescale.contours import contour_levels
 from fringescale.cwt import HAT_REACH, CwtSweep, _axis_dfts, _axis_samples, finish_plane
 from fringescale.core import TWO_PI, next_fast_len
 from fringescale.wft import WINDOW_TRUNCATION_SIGMAS, frequency_grid
+
+
+def mexican_hat(x, y):
+    """Isotropic Mexican hat psi(x, y) = (2 - r^2) exp(-r^2 / 2)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    r2 = x * x + y * y
+    return (2.0 - r2) * np.exp(-0.5 * r2)
+
+
+def mexican_hat_spectrum(wx, wy):
+    """Closed-form transform 2 pi |w|^2 exp(-|w|^2 / 2), angular frequency."""
+    wx = np.asarray(wx, dtype=np.float64)
+    wy = np.asarray(wy, dtype=np.float64)
+    w2 = wx * wx + wy * wy
+    return 2.0 * np.pi * w2 * np.exp(-0.5 * w2)
 
 
 def periodized_kernel(n_rows, n_cols, alpha, copies=None):

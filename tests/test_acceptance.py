@@ -38,15 +38,13 @@ from fringescale import (
     interior_mask,
     make_fringes,
     make_phase,
-    mexican_hat,
-    mexican_hat_spectrum,
     read_field,
     relative_phase,
     unwrap,
     write_field,
 )
 from fringescale import cli
-from oracles import brute_cwt_plane
+from oracles import brute_cwt_plane, mexican_hat, mexican_hat_spectrum
 
 
 def report(name: str, ok: bool, detail: str) -> str:

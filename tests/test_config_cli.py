@@ -13,6 +13,9 @@ from hypothesis import given, strategies as st
 from fringescale import (
     ConfigError,
     CwtParams,
+    DemodParams,
+    NoiseSpec,
+    PhantomSpec,
     cwt_sweep,
     field_from_array,
     read_field,
@@ -27,6 +30,7 @@ from fringescale.config import (
     parse_override,
     resolve,
 )
+from fringescale.render import DEFAULT_CONTOUR_LEVELS
 
 
 class TestParse:
@@ -84,6 +88,15 @@ class TestResolve:
         assert len(rc.cwt.scales) == 32
         assert rc.anchor is None
         assert rc.phantom is not None and rc.phantom.kind == "gaussian_plume"
+
+    def test_defaults_are_the_librarys(self):
+        rc = resolve({})
+        plume = PhantomSpec(kind="gaussian_plume")
+        assert (rc.phantom.peak, rc.phantom.widths) == (plume.peak, plume.widths)
+        assert rc.noise == NoiseSpec()
+        assert rc.demod == DemodParams.for_carrier(0.125)
+        assert rc.cwt.threshold_fraction == CwtParams.threshold_fraction
+        assert rc.contour_levels == DEFAULT_CONTOUR_LEVELS
 
     def test_band_follows_carrier(self):
         rc = resolve({"carrier.fx": 0.2})

@@ -15,13 +15,12 @@ from fringescale import (
     cwt_sweep,
     default_scale_grid,
     field_from_array,
-    mexican_hat,
-    mexican_hat_spectrum,
 )
 from fringescale.core import next_fast_len
 from fringescale.cwt import HAT_BAND, HAT_REACH, _axis_dfts, _axis_samples, finish_plane
 from oracles import (brute_cwt_plane, edge_band_errors, full_spectrum_sweep,
-                     uniform_pad_sweep, wide_pad_plane)
+                     mexican_hat, mexican_hat_spectrum, uniform_pad_sweep,
+                     wide_pad_plane)
 
 # A plane that keeps only the band its hat does not zero is within this
 # fraction of its peak of the plane from the whole spectrum: 4.5x the

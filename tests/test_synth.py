@@ -82,10 +82,6 @@ class TestPhantoms:
         with pytest.raises(BadSpecError):
             make_phase(GRID, spec)
 
-    def test_plume_needs_widths(self):
-        with pytest.raises(BadSpecError):
-            make_phase(GRID, PhantomSpec(kind="gaussian_plume", peak=1.0))
-
     def test_unknown_kind_rejected(self):
         for kind in ("weird", "from_file"):
             with pytest.raises(BadSpecError):
