@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -188,7 +189,8 @@ def next_fast_len(n: int) -> int:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: the threads of the ridge scan."""
+    """CPUs this process may run on: the threads of the ridge scan, and
+    whether _overlap runs its jobs on a second thread."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
@@ -205,6 +207,47 @@ def _share(work, parts) -> list:
         futures = [pool.submit(copy_context().run, work, p) for p in parts[:-1]]
         last = work(parts[-1])
         return [future.result() for future in futures] + [last]
+
+
+def _overlap(jobs, depth: int) -> None:
+    """Run each job, a callable of no arguments, that the iterator jobs
+    yields, in order. With two or more usable CPUs the calling thread
+    advances jobs while one worker thread from _share runs the jobs made
+    so far, at most depth of them waiting; with one, each job runs on
+    the calling thread as soon as it is made. A job that raises stops
+    the run either way: no later job runs, and its error is raised here
+    in place of any that advancing jobs raised later, so which jobs ran
+    and what is raised do not depend on the CPU count."""
+    if _usable_cpus() < 2:
+        for job in jobs:
+            job()
+        return
+    waiting, failed = queue.Queue(depth), []
+
+    def make():
+        try:
+            for job in jobs:
+                waiting.put(job)
+                if failed:
+                    break
+        finally:
+            waiting.put(None)  # the worker stops at it
+
+    def use():
+        while (job := waiting.get()) is not None:
+            if not failed:  # after a failure, drain so that put never blocks
+                try:
+                    job()
+                except BaseException as e:
+                    failed.append(e)
+
+    try:
+        _share(lambda side: side(), (use, make))
+    except BaseException:
+        if not failed:
+            raise
+    if failed:
+        raise failed[0]
 
 
 def masked_extrema(f: ScalarField) -> tuple[float, float]:

@@ -47,12 +47,17 @@ equal np.fft.irfft2 then crop bit for bit; the others differ from it by
 rounding only.
 
 Every transform is numpy.fft's pocketfft, run on the calling thread as
-a batch of 1-D transforms. The padded spectrum is an rfft along the
-rows, then an fft in place down the columns (out=), which is
-np.fft.rfft2 bit for bit without its second array. A plane is the
-product with the multiplier over the kept box, an ifft in place down its
-columns, an irfft along the kept rows, the crop and mask, then the
-divide by the plane's peak and the threshold (finish_plane).
+a batch of 1-D transforms; the CLI writes and renders each finished
+plane on a second thread while this one makes the next. The padded
+spectrum is an rfft along the input's h rows, edge-padded to the padded
+width, into the spectrum's rows (out=); the pad rows above and below
+repeat the edge rows, so they take copies of those rows' spectra. An
+fft in place down the columns follows, which is np.fft.rfft2 of the
+edge-padded input bit for bit, with neither its padded input nor its
+second array. A plane is the product with the multiplier over the kept
+box, an ifft in place down its columns, an irfft along the kept rows,
+the crop and mask, then the divide by the plane's peak and the
+threshold (finish_plane).
 
 For production runs on real phase maps the input is edge-padded and
 the plane cropped after the transform to suppress wraparound, while
@@ -276,11 +281,18 @@ class CwtSweep:
 
     def _forward(self, shape: tuple[int, int], top: int, left: int) -> np.ndarray:
         """np.fft.rfft2 of the input edge-padded to shape, bit for bit: an
-        rfft along the rows, then an fft in place down the columns."""
-        (h, w), (ly, lx) = self._field.grid.shape, shape
-        padded = np.pad(self._field.values, ((top, ly - h - top), (left, lx - w - left)),
-                        mode="edge")
-        spectrum = np.fft.rfft(padded, axis=1)
+        rfft along the h input rows, edge-padded to Lx, into the spectrum;
+        the pad rows above and below repeat the edge rows, so they copy
+        those rows' spectra; then an fft in place down the columns."""
+        (h, w), (ly, lx), values = self._field.grid.shape, shape, self._field.values
+        rows = np.empty((h, lx))
+        rows[:, :left] = values[:, :1]
+        rows[:, left:left + w] = values
+        rows[:, left + w:] = values[:, -1:]
+        spectrum = np.empty((ly, lx // 2 + 1), dtype=complex)
+        np.fft.rfft(rows, axis=1, out=spectrum[top:top + h])
+        spectrum[:top] = spectrum[top]
+        spectrum[top + h:] = spectrum[top + h - 1]
         return np.fft.fft(spectrum, axis=0, out=spectrum)
 
     def _columns(self, alpha: float) -> np.ndarray:

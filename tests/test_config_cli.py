@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from fringescale import (
     read_field,
     write_field,
 )
-from fringescale import cli
+from fringescale import cli, core, wft
 from fringescale.cli import main
 from fringescale.config import (
     SCHEMA,
@@ -30,6 +31,7 @@ from fringescale.config import (
     parse_override,
     resolve,
 )
+from fringescale.cwt import default_scale_grid
 from fringescale.render import DEFAULT_CONTOUR_LEVELS
 
 
@@ -687,3 +689,152 @@ def test_import_and_pipeline_run_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
+
+
+# FAST on the default 32-scale grid, whose display planes are 7, 15, 26
+# and 31
+FAST_32 = [a for flag, val in zip(FAST[::2], FAST[1::2]) if val != "cwt.scales=2,5"
+           for a in (flag, val)]
+
+
+def _output_args(command: str, tmp_path: Path) -> list[str]:
+    """Arguments for a 32-plane pipeline or cwt run, less --out."""
+    if command == "pipeline":
+        return ["pipeline"] + FAST_32
+    phase = tmp_path / "phase_in.fgrid"
+    if not phase.exists():
+        rng = np.random.default_rng(7)
+        mask = np.ones((48, 40), dtype=bool)
+        mask[5:15, 8:20] = False
+        write_field(phase, field_from_array(
+            np.where(mask, rng.normal(size=mask.shape), 0.0), mask))
+    return ["cwt", "--phase", str(phase)]
+
+
+def _output_files(out: Path) -> dict[str, bytes]:
+    """Every file a run left in out but its config echo, which names out."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.is_file() and p.name != "config_echo.txt"}
+
+
+# A child process that sees argv[1] usable CPUs, refuses the sweep's plane
+# argv[2] unless it is negative, runs the CLI on the rest of argv and
+# prints its exit code, the threads alive after it and the threads it
+# started.
+_CHILD = """\
+import sys, threading
+from fringescale import cli, core, cwt, errors, wft
+core._usable_cpus = wft._usable_cpus = lambda: int(sys.argv[1])
+refused, started, start = int(sys.argv[2]), [], threading.Thread.start
+threading.Thread.start = lambda t: (started.append(t), start(t))[1]
+make = cwt.CwtSweep._plane
+def plane(sweep, alpha):
+    if refused >= 0 and alpha == sweep.scales[refused]:
+        raise errors.NumericError("plane refused")
+    return make(sweep, alpha)
+cwt.CwtSweep._plane = plane
+code = cli.main(sys.argv[3:])
+print(code, threading.active_count(), len(started))
+"""
+
+
+class TestOutputThread:
+    """The calling thread makes the planes while a second one writes and
+    renders them; with one usable CPU no thread starts and the outputs
+    are written inline. The files must not depend on which."""
+
+    @pytest.mark.parametrize("command", ["pipeline", "cwt"])
+    def test_same_outputs_at_one_and_two_cpus(self, tmp_path, monkeypatch,
+                                              thread_starts, command):
+        writers = []
+        write = cli.write_field
+
+        def recording(path, field):
+            writers.append(threading.current_thread())
+            write(path, field)
+        monkeypatch.setattr(cli, "write_field", recording)
+        args, outputs = _output_args(command, tmp_path), {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(wft, "_usable_cpus", lambda: cpus)
+            started, writers[:] = len(thread_starts), []
+            out = tmp_path / f"cpus{cpus}"
+            assert main(args + ["--out", str(out)]) == 0
+            started = thread_starts[started:]
+            assert not any(t.is_alive() for t in thread_starts)
+            if cpus == 1:
+                assert not started
+                assert set(writers) == {threading.main_thread()}
+            else:
+                # the last 32 writes are the planes, all on one started
+                # thread; the cwt subcommand scans nothing, so that thread
+                # is the only one it starts
+                assert len(set(writers[-32:])) == 1 and writers[-1] in started
+                assert command == "pipeline" or len(started) == 1
+            outputs[cpus] = _output_files(out)
+        assert outputs[1] == outputs[2]
+        names = set(outputs[1])
+        scales = default_scale_grid()
+        planes = {f"plane_{i:03d}_alpha{a:g}" for i, a in enumerate(scales)}
+        assert {n for n in names if n.startswith("plane_") and n.endswith(".fgrid")} == \
+            {f"{p}.fgrid" for p in planes}
+        assert "manifest.txt" in names
+        if command == "pipeline":
+            for stem in ["phase"] + [f"plane_{i:03d}_alpha{scales[i]:g}"
+                                     for i in (7, 15, 26, 31)]:
+                assert {f"{stem}.ppm", f"{stem}.ppm.txt", f"{stem}_contours.csv"} <= names
+
+    @staticmethod
+    def run_child(cpus: int, refused: int, argv: list[str]) -> tuple[int, int, int]:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
+        # a deadlocked hand-off would hang here until the timeout
+        proc = subprocess.run([sys.executable, "-c", _CHILD, str(cpus), str(refused)]
+                              + argv, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, alive, started = map(int, proc.stdout.split())
+        return code, alive, started
+
+    @pytest.mark.parametrize("refused", [-1, 6])
+    @pytest.mark.parametrize("command", ["pipeline", "cwt"])
+    def test_failed_write_stops_the_run(self, tmp_path, command, refused):
+        # a directory where plane 5 goes: its write fails with an OSError
+        # while the sweep is still making planes. Refused, plane 6 raises
+        # NumericError too, often before plane 5's write on two CPUs, but
+        # the first failure in order, the write's, is the one reported
+        args, scales, left = _output_args(command, tmp_path), default_scale_grid(), {}
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            (out / f"plane_005_alpha{scales[5]:g}.fgrid").mkdir(parents=True)
+            code, alive, started = self.run_child(cpus, refused,
+                                                  args + ["--out", str(out)])
+            assert (code, alive) == (3, 1)
+            assert (started == 0) == (cpus == 1)
+            left[cpus] = _output_files(out)
+        assert left[1] == left[2]
+        assert "manifest.txt" not in left[1]
+        assert sorted(n for n in left[1] if n.endswith(".fgrid") and
+                      n.startswith("plane_")) == [f"plane_{i:03d}_alpha{scales[i]:g}.fgrid"
+                                                  for i in range(5)]
+        assert not [n for n in left[1] if n.endswith(".tmp")]
+
+    @pytest.mark.parametrize("command", ["pipeline", "cwt"])
+    def test_refused_plane_stops_the_run(self, tmp_path, command):
+        # plane 9 raises NumericError on the calling thread after plane 7,
+        # a display plane, is handed over
+        args, scales, left = _output_args(command, tmp_path), default_scale_grid(), {}
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            code, alive, started = self.run_child(cpus, 9, args + ["--out", str(out)])
+            assert (code, alive) == (4, 1)
+            assert (started == 0) == (cpus == 1)
+            left[cpus] = _output_files(out)
+        assert left[1] == left[2]
+        assert "manifest.txt" not in left[1]
+        assert sorted(n for n in left[1] if n.endswith(".fgrid") and
+                      n.startswith("plane_")) == [f"plane_{i:03d}_alpha{scales[i]:g}.fgrid"
+                                                  for i in range(9)]
+        if command == "pipeline":
+            assert f"plane_007_alpha{scales[7]:g}_contours.csv" in left[1]

@@ -581,9 +581,10 @@ class TestPaddedGrid:
         assert {unpadded._grid(a) for a in scales} == {((n, n), (0, 0))}
 
     def test_one_forward_transform_per_padded_shape(self, rng, monkeypatch):
-        # the padded spectrum starts with an rfft along the rows of the
-        # padded input, one 2-D call per padded shape; _axis_dfts' 1-D
-        # rffts are not counted
+        # the padded spectrum starts with an rfft along the h input rows,
+        # edge-padded to Lx, one 2-D call per padded shape; the pad rows
+        # copy the edge rows' spectra, and _axis_dfts' 1-D rffts are not
+        # counted
         shapes = []
 
         def counting(x, *args, _rfft=np.fft.rfft, **kwargs):
@@ -598,7 +599,32 @@ class TestPaddedGrid:
         assert len(list(sweep)) == 32
         # the plane at 19.5 shares the 600 x 600 grid of the 11 that wrap
         assert len(distinct) == 16
-        assert sorted(shapes) == sorted(distinct)
+        assert sorted(shapes) == sorted((192, lx) for _, lx in distinct)
+
+    @pytest.mark.parametrize("top, bottom, left, right",
+                             [(0, 0, 0, 0), (3, 4, 5, 6), (4, 4, 7, 7),
+                              (25, 26, 0, 1), (0, 9, 12, 0)])
+    def test_forward_is_rfft2_of_the_edge_padded_input(self, rng, top, bottom, left,
+                                                       right):
+        # odd and even pads, uneven ones too, on a masked input whose
+        # edge rows and columns hold masked zeros and valid values
+        f = _masked_ramp(70, 53, rng)
+        mask = f.mask.copy()
+        mask[0, :10] = mask[30:40, -1] = False
+        f = field_from_array(np.where(mask, f.values, 0.0), mask)
+        sweep = cwt_sweep(f, CwtParams(scales=(2.0,)))
+        want = np.fft.rfft2(np.pad(f.values, ((top, bottom), (left, right)), mode="edge"))
+        got = sweep._forward((70 + top + bottom, 53 + left + right), top, left)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_forward_matches_on_every_sweep_grid(self, rng):
+        f = _masked_ramp(70, 53, rng)
+        sweep = cwt_sweep(f, CwtParams(scales=default_scale_grid()))
+        for shape, (top, left) in {sweep._grid(a) for a in sweep.scales}:
+            pads = ((top, shape[0] - 70 - top), (left, shape[1] - 53 - left))
+            want = np.fft.rfft2(np.pad(f.values, pads, mode="edge"))
+            assert sweep._forward(shape, top, left).tobytes() == want.tobytes(), shape
 
     def test_shared_spectra_match_the_oracle(self, rng):
         # at 64x64 the default scales put planes of reach 10 and 12, 14
